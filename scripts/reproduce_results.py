@@ -20,6 +20,7 @@ import math
 
 from sdemoments import (
     SimConfig,
+    best_closed_form,
     linear_functional_moment,
     load_benchmark,
     markov_tail_bound,
@@ -41,7 +42,7 @@ def consensus_study() -> None:
     print("consensus: expected squared disagreement E[(x1 - x2)^2]")
     print("=" * 72)
     _, _, fm = functional_moment("consensus", "(x1 - x2)^2")
-    form = fm.closed_form()
+    form, _, _ = best_closed_form(fm)
     print(f"closed form ({form.scalar_kind} spectrum):")
     print(f"  {form}")
     times = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)

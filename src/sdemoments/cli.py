@@ -29,21 +29,17 @@ from typing import Sequence
 from .closure import (
     ClosureBudget,
     DivergenceReport,
-    MomentSystem,
     build_closure,
     system_rows,
 )
 from .model import ModelError, SdeModel, load_benchmark, load_model_file
 from .montecarlo import BlowUpError, SimConfig, SimulationError, simulate_functional
 from .odesolve import (
-    ClosedForm,
-    ClosedFormUnsupported,
     FunctionalMoment,
     OdeSolveError,
+    best_closed_form,
     linear_functional_moment,
     markov_tail_bound,
-    solve_closed_form,
-    solve_closed_form_float,
 )
 from .poly import Monomial, ParseError, parse_polynomial
 from .prosolve import (
@@ -59,10 +55,6 @@ EXIT_DIVERGENCE = 2
 EXIT_MODEL_ERROR = 3
 EXIT_VERIFY_MISMATCH = 4
 EXIT_USAGE = 64
-
-# Exact (rational) spectral solving is quartic in the system dimension; past
-# this size the pipeline goes straight to the float spectrum.
-_EXACT_DIM_CAP = 40
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -232,26 +224,6 @@ class RunReport:
         return doc
 
 
-def _attempt_closed_form(fm: FunctionalMoment) -> tuple[ClosedForm | None, str, str | None]:
-    """Try exact then float spectra; return (form, kind, note)."""
-    if fm.system.dimension <= _EXACT_DIM_CAP:
-        try:
-            return fm.closed_form_exact(), "exact-rational", None
-        except ClosedFormUnsupported as exc:
-            exact_note = str(exc)
-        except OdeSolveError as exc:
-            exact_note = str(exc)
-    else:
-        exact_note = (
-            f"dimension {fm.system.dimension} exceeds the exact-spectrum cap "
-            f"({_EXACT_DIM_CAP})"
-        )
-    try:
-        return fm.closed_form_float(), "float-spectrum", f"exact path unavailable: {exact_note}"
-    except ClosedFormUnsupported as exc:
-        return None, "numeric-only", f"no closed form: {exact_note}; float path: {exc}"
-
-
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -364,7 +336,7 @@ def _run_simulation_comparison(
     for est, value in zip(estimates, exact):
         gap = abs(est.mean - value)
         allowed = 4.0 * est.std_error
-        ok = gap <= allowed
+        ok = bool(gap <= allowed)
         all_ok = all_ok and ok
         rows.append(
             {
@@ -415,7 +387,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         }
 
     if args.closed_form:
-        form, kind, note = _attempt_closed_form(outcome)
+        form, kind, note = best_closed_form(outcome)
         report.closed_form_kind = kind
         report.note = note
         if form is not None:
@@ -537,24 +509,7 @@ _TABLE1: tuple[tuple[str, tuple[int, ...], int, bool], ...] = (
 )
 
 
-def _solve_status(ms: MomentSystem) -> str:
-    if ms.dimension > _EXACT_DIM_CAP:
-        kind = "numeric"
-        try:
-            solve_closed_form_float(ms, 0)
-            return "float"
-        except ClosedFormUnsupported:
-            return kind
-    try:
-        solve_closed_form(ms, 0)
-        return "exact"
-    except ClosedFormUnsupported:
-        pass
-    try:
-        solve_closed_form_float(ms, 0)
-        return "float"
-    except ClosedFormUnsupported:
-        return "numeric"
+_SOLVE_STATUS = {"exact-rational": "exact", "float-spectrum": "float", "numeric-only": "numeric"}
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -591,7 +546,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             "ok": ok,
         }
         if args.solve:
-            row["solve_status"] = _solve_status(result)
+            # The target is component 0 of its closure.
+            weights = (Fraction(1),) + (Fraction(0),) * (result.dimension - 1)
+            _, kind, _ = best_closed_form(FunctionalMoment(result, weights, Fraction(0)))
+            row["solve_status"] = _SOLVE_STATUS[kind]
         rows.append(row)
     if args.json:
         print(json.dumps({"rows": rows, "ok": all_ok}, indent=2))

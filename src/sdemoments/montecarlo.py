@@ -168,9 +168,13 @@ def _simulate_block(
             state = state + increment
             step += 1
             worst = float(np.max(np.abs(state)))
-            if worst > _BLOWUP_LIMIT:
+            # Written so that NaN, which compares false, also trips it.
+            if not worst <= _BLOWUP_LIMIT:
+                what = (
+                    f"exceeded {_BLOWUP_LIMIT:.0e}" if math.isfinite(worst) else "is non-finite"
+                )
                 raise BlowUpError(
-                    f"trajectory magnitude {worst:.3g} exceeded {_BLOWUP_LIMIT:.0e} "
+                    f"trajectory magnitude {worst:.3g} {what} "
                     f"at t={step * cfg.dt:.6g} (path block starting at {first_path})"
                 )
             if step in record_set:

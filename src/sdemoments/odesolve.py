@@ -8,15 +8,24 @@ so one matrix exponential covers both parts.  Three evaluation routes:
 
   * eval_numeric      — double-precision expm (scaling-and-squaring, Pade 13)
                         at arbitrary times; always available.
-  * solve_closed_form — exact symbolic solution from the rational part of the
-                        spectrum: characteristic polynomial over Fraction,
-                        rational roots with exact deflation, generalized
-                        eigenspaces by exact nullspaces.  Yields terms
-                        p(t) * exp(lambda t) with Fraction data.
+  * solve_closed_form — exact symbolic solution, terms p(t) * exp(lambda t)
+                        with Fraction data.  When every strongly connected
+                        component of A's off-diagonal pattern is 1x1 (the
+                        closure is triangular up to reordering, as pro-solvable
+                        models give), each moment is solved by exact variation
+                        of constants after the moments it depends on; the
+                        spectrum is the diagonal, at any dimension.  Otherwise
+                        a dense spectral fallback, capped at dimension
+                        _EXACT_DIM_CAP: characteristic polynomial over
+                        Fraction, rational roots with exact deflation,
+                        generalized eigenspaces by exact nullspaces.
   * solve_closed_form_float
                       — numeric eigendecomposition for irrational spectra;
                         refuses clustered/repeated eigenvalues (Jordan
                         structure is numerically ill-posed).
+
+best_closed_form is the one policy choosing among them: exact, else float,
+else numeric only.
 
 Also: Markov tail bounds and linear functionals of moments (e.g. the second
 moment of a difference of states), which share one closure across targets.
@@ -36,6 +45,7 @@ import numpy as np
 from .closure import ClosureBudget, DivergenceReport, MomentSystem, build_closure_multi
 from .model import SdeModel
 from .poly import Monomial
+from .prosolve import _tarjan_sccs
 
 Scalar = Union[Fraction, float, complex]
 
@@ -525,6 +535,11 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 
 
+# The dense spectral path is quartic in the dimension; past this size a
+# closure that is not triangular goes to the float spectrum.
+_EXACT_DIM_CAP = 40
+
+
 @lru_cache(maxsize=16)
 def _exact_spectral_data(
     ms: MomentSystem,
@@ -592,29 +607,99 @@ def _exact_spectral_data(
     return tuple(data)
 
 
+def _dense_forms(ms: MomentSystem) -> list[ClosedForm]:
+    """Exact ClosedForm of every component from the dense spectral data."""
+    data = _exact_spectral_data(ms)
+    return [
+        ClosedForm.build(
+            {lam: [vec[component] for vec in vectors] for lam, vectors in data},
+            "exact-rational",
+        )
+        for component in range(ms.dimension)
+    ]
+
+
+def _triangular_forms(ms: MomentSystem) -> list[ClosedForm] | None:
+    """Exact ClosedForm of every component by variation of constants, one
+    index at a time, or None when A's off-diagonal pattern has a cycle.
+
+    Tarjan emits each strongly connected component after every component it
+    reaches, so when all are 1x1 each index i comes after the indices it
+    depends on.  With lambda = A[i][i], its forcing
+    c_i + sum_{j != i} A[i][j] m_j(t) is a sum of p_mu(t) e^{mu t} terms of
+    solved indices.  The particular part q_mu e^{mu t} solves
+    (mu - lambda) q_mu + q_mu' = p_mu, that is
+    q_mu = sum_k (-1)^k p_mu^(k) / (mu - lambda)^(k+1), and at resonance
+    (mu = lambda) q_mu = int_0^t p_mu, one degree higher.  Then
+    m_i = sum_mu q_mu e^{mu t} + (m0_i - sum_mu q_mu(0)) e^{lambda t}.
+    """
+    deps = [
+        [j for j, v in enumerate(row) if v and j != i]
+        for i, row in enumerate(ms.matrix_a)
+    ]
+    blocks = _tarjan_sccs(ms.dimension, deps.__getitem__)
+    if any(len(block) > 1 for block in blocks):
+        return None
+    zero = Fraction(0)
+    forms: list[ClosedForm] = [ClosedForm((), "exact-rational")] * ms.dimension
+    for (i,) in blocks:
+        row = ms.matrix_a[i]
+        lam = row[i]
+        forcing: dict[Fraction, list[Fraction]] = {}
+        if ms.vector_c[i]:
+            forcing[zero] = [ms.vector_c[i]]
+        for j in deps[i]:
+            a = row[j]
+            for mu, coeffs in forms[j].terms:
+                acc = forcing.setdefault(mu, [])
+                acc.extend([zero] * (len(coeffs) - len(acc)))
+                for d, c in enumerate(coeffs):
+                    acc[d] += a * c
+        terms: dict[Fraction, list[Fraction]] = {}
+        free = ms.m0[i]
+        for mu, p in forcing.items():
+            if mu == lam:
+                q = [zero] + [c / (d + 1) for d, c in enumerate(p)]
+            else:
+                delta = mu - lam
+                q = [zero] * len(p)
+                carry = zero  # (k + 1) * q[k + 1]
+                for k in range(len(p) - 1, -1, -1):
+                    q[k] = (p[k] - carry) / delta
+                    carry = k * q[k]
+                free -= q[0]
+            terms[mu] = q
+        terms.setdefault(lam, [zero])[0] += free
+        forms[i] = ClosedForm.build(terms, "exact-rational")
+    return forms
+
+
 def solve_closed_form_vector(ms: MomentSystem) -> list[ClosedForm]:
     """Exact ClosedForm for every component of m(t); see solve_closed_form."""
-    data = _exact_spectral_data(ms)
-    out = []
-    for component in range(ms.dimension):
-        term_map = {
-            lam: [vec[component] for vec in vectors] for lam, vectors in data
-        }
-        out.append(ClosedForm.build(term_map, "exact-rational"))
-    return out
+    forms = _triangular_forms(ms)
+    if forms is not None:
+        return forms
+    if ms.dimension > _EXACT_DIM_CAP:
+        raise ClosedFormUnsupported(
+            "the closure is not triangular (its dependency graph has a cycle) "
+            f"and its dimension {ms.dimension} exceeds the dense exact-spectrum "
+            f"cap ({_EXACT_DIM_CAP})"
+        )
+    return _dense_forms(ms)
 
 
 def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
     """Exact closed form of one moment component (default: the target).
 
-    Requires the augmented matrix spectrum to be rational; otherwise raises
-    ClosedFormUnsupported with the remaining characteristic factor, and the
-    float-spectrum path is the fallback."""
-    data = _exact_spectral_data(ms)
+    Triangular closures (every strongly connected component of A's
+    off-diagonal pattern 1x1) are solved at any dimension.  Otherwise the
+    dense spectral path needs dimension <= _EXACT_DIM_CAP and a rational
+    augmented spectrum; it raises ClosedFormUnsupported, with the remaining
+    characteristic factor for an irrational spectrum, and the float-spectrum
+    path is the fallback."""
     if not 0 <= component < ms.dimension:
         raise IndexError(f"component {component} out of range")
-    term_map = {lam: [vec[component] for vec in vectors] for lam, vectors in data}
-    return ClosedForm.build(term_map, "exact-rational")
+    return solve_closed_form_vector(ms)[component]
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +800,21 @@ class FunctionalMoment:
                 acc = acc + part.scale(float(weight))
         return acc.prune(_COEFF_PRUNE)
 
-    def closed_form(self) -> ClosedForm:
-        try:
-            return self.closed_form_exact()
-        except ClosedFormUnsupported:
-            return self.closed_form_float()
+
+def best_closed_form(fm: FunctionalMoment) -> tuple[ClosedForm | None, str, str | None]:
+    """The closed-form policy: exact, else float spectrum, else none.
+
+    Returns (form, kind, note); kind is "exact-rational", "float-spectrum" or
+    "numeric-only" (form None), and the note says why the exact (and float)
+    path was unavailable."""
+    try:
+        return fm.closed_form_exact(), "exact-rational", None
+    except (ClosedFormUnsupported, OdeSolveError) as exc:
+        exact_note = str(exc)
+    try:
+        return fm.closed_form_float(), "float-spectrum", f"exact path unavailable: {exact_note}"
+    except ClosedFormUnsupported as exc:
+        return None, "numeric-only", f"no closed form: {exact_note}; float path: {exc}"
 
 
 def linear_functional_moment(

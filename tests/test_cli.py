@@ -293,6 +293,21 @@ class TestMomentSimulate:
         assert "[FAIL]" in out
         assert "simulation mismatch beyond 4 standard errors" in err
 
+    def test_json_report(self, capsys, write_model):
+        path = write_model(
+            "noise", variables=["x1"], drift=["0"], diffusion=[["1"]], values=["0"]
+        )
+        code, out, _ = run_cli(
+            capsys, "moment", path, "--alpha", "1", "--simulate",
+            "--times", "0.5,1", "--paths", "64", "--dt", "0.05", "--json",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["simulation_ok"] is True
+        assert [row["time"] for row in doc["simulation"]] == [0.5, 1.0]
+        assert all(row["within_4_sigma"] is True for row in doc["simulation"])
+        assert all(row["paths"] == 64 for row in doc["simulation"])
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -362,6 +377,21 @@ class TestSimulate:
         assert code == EXIT_DIVERGENCE
         assert "simulation blow-up" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_exits_two(self, capsys, write_model):
+        # x^30 - x^29 at 1e11 is inf - inf: the first step makes every path NaN.
+        path = write_model(
+            "nan", variables=["x1"], drift=["x1^30 - x1^29"], diffusion=[["0"]],
+            values=["100000000000"],
+        )
+        code, out, err = run_cli(
+            capsys, "simulate", path, "--alpha", "1", "--times", "0.01",
+            "--paths", "16", "--dt", "0.01",
+        )
+        assert code == EXIT_DIVERGENCE
+        assert "non-finite" in err
+        assert "nan" not in out
+
     def test_bad_step_exits_three(self, capsys, write_model):
         path = write_model(
             "noise", variables=["x1"], drift=["0"], diffusion=[["1"]], values=["0"]
@@ -399,6 +429,15 @@ class TestTable1:
         last = by_key[("coupled3d", "(2,2,0)")]
         assert last["closure_size"] == 3
         assert last["prosolvable"] is False
+
+    def test_solve_reports_exact_for_triangular_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "table1", "--solve", "--json")
+        assert code == EXIT_OK
+        for row in json.loads(out)["rows"]:
+            if row["benchmark"] in ("consensus", "oscillator"):
+                assert row["solve_status"] == "float", row
+            elif row["prosolvable"]:
+                assert row["solve_status"] == "exact", row
 
     def test_mismatch_is_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_TABLE1", (("ou-env", (0, 2), 9, True),))

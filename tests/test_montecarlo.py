@@ -254,6 +254,15 @@ class TestBlowUp:
         with pytest.raises(BlowUpError):
             simulate_moment(model, Monomial((1,)), cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_aborts(self):
+        # x^30 - x^29 at 1e11 overflows to inf - inf = NaN on the first step;
+        # NaN compares false with any limit, so the guard must test for it.
+        model = scalar_model("x1^30 - x1^29", "0", x0="100000000000", name="nan")
+        cfg = SimConfig(dt=0.01, paths=16, record_times=(0.01,), seed=0)
+        with pytest.raises(BlowUpError, match="non-finite"):
+            simulate_moment(model, Monomial((1,)), cfg)
+
     def test_blow_up_is_a_simulation_error(self):
         assert issubclass(BlowUpError, SimulationError)
 

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from sdemoments.closure import MomentSystem, build_closure
 from sdemoments.model import load_benchmark
 from sdemoments.odesolve import (
+    _EXACT_DIM_CAP,
     ClosedForm,
     ClosedFormUnsupported,
     FunctionalMoment,
     OdeSolveError,
+    best_closed_form,
     characteristic_polynomial,
     eval_numeric,
     expm,
@@ -25,6 +27,8 @@ from sdemoments.odesolve import (
     solve_closed_form,
     solve_closed_form_float,
     solve_closed_form_vector,
+    _dense_forms,
+    _triangular_forms,
 )
 from sdemoments.poly import Monomial, parse_polynomial
 
@@ -290,11 +294,13 @@ class TestConsensusStudy:
         assert len(cf.terms) == 2
 
     def test_closed_form_falls_back_to_float(self):
-        cf = self.functional().closed_form()
+        cf, kind, note = best_closed_form(self.functional())
         assert cf.scalar_kind == "float"
+        assert kind == "float-spectrum"
+        assert "not rational" in note
 
     def test_tail_bounds_below_exponential(self):
-        cf = self.functional().closed_form()
+        cf, _, _ = best_closed_form(self.functional())
         for t in (10.0, 12.0, 15.0):
             bound = markov_tail_bound(cf.evaluate(t), 0.1, 2)
             assert bound <= math.exp(-t)
@@ -347,17 +353,123 @@ class TestVehiclesStudy:
 # ---------------------------------------------------------------------------
 
 
-def synthetic_system(matrix, m0, dim_vars=1):
+def synthetic_system(matrix, m0, dim_vars=1, constants=None):
     n = len(matrix)
     indices = tuple(Monomial((k + 1,) + (0,) * (dim_vars - 1)) for k in range(n))
     return MomentSystem(
         model_name="synthetic",
         indices=indices,
         matrix_a=tuple(tuple(F(v) for v in row) for row in matrix),
-        vector_c=tuple(F(0) for _ in range(n)),
+        vector_c=tuple(F(v) for v in constants or [0] * n),
         m0=tuple(F(v) for v in m0),
         seed_count=1,
     )
+
+
+def assert_exact_solution(ms, forms):
+    """Each form starts at m0 and satisfies its ODE row identically."""
+    for r in range(ms.dimension):
+        assert forms[r].at_zero() == ms.m0[r], f"row {r} initial value"
+        residual = forms[r].derivative() - ClosedForm.constant(ms.vector_c[r])
+        for s, coeff in enumerate(ms.matrix_a[r]):
+            if coeff:
+                residual = residual - forms[s].scale(coeff)
+        assert residual.terms == (), f"row {r} residual {residual}"
+
+
+# ---------------------------------------------------------------------------
+# Triangular back-substitution versus the dense spectral path
+# ---------------------------------------------------------------------------
+
+
+class TestTriangularPath:
+    @pytest.mark.parametrize(
+        "name, exponents",
+        [
+            ("ou-env", (0, 2)),
+            ("ou-env", (0, 3)),
+            ("ou-env", (0, 4)),
+            ("ou-env", (0, 5)),
+            ("gene", (1, 0, 0, 0, 1)),
+            ("vehicles", (0, 0, 2, 0)),
+        ],
+    )
+    def test_matches_dense_path_on_table_rows(self, name, exponents):
+        ms = build_closure(load_benchmark(name), Monomial(exponents))
+        forms = _triangular_forms(ms)
+        assert forms is not None
+        assert forms == _dense_forms(ms)
+
+    def test_matches_dense_path_on_functional_closure(self):
+        model = load_benchmark("vehicles")
+        fm = linear_functional_moment(model, functional_terms(model, "(p1 - p2)^2"))
+        assert _triangular_forms(fm.system) == _dense_forms(fm.system)
+
+    @pytest.mark.parametrize(
+        "name, exponents", [("consensus", (1, 1)), ("oscillator", (0, 1, 2))]
+    )
+    def test_cyclic_closures_are_not_triangular(self, name, exponents):
+        ms = build_closure(load_benchmark(name), Monomial(exponents))
+        assert _triangular_forms(ms) is None
+
+    def test_resonance_raises_the_degree(self):
+        # m1' = -m1, m2' = -m2 + m1, m(0) = (1, 0): m1 = e^{-t} forces m2 at
+        # its own rate, so m2 = t e^{-t}.
+        ms = synthetic_system([[-1, 0], [1, -1]], [1, 0])
+        m1, m2 = solve_closed_form_vector(ms)
+        assert m1.terms == ((F(-1), (F(1),)),)
+        assert m2.terms == ((F(-1), (F(0), F(1))),)
+
+    @pytest.mark.parametrize(
+        "name, exponents, size",
+        [
+            ("gene", (0, 0, 0, 0, 2), 85),
+            ("gene", (1, 0, 0, 0, 2), 115),
+            ("ou-env", (0, 10), 120),
+        ],
+    )
+    def test_rows_above_the_dense_cap_solve_exactly(self, name, exponents, size):
+        ms = build_closure(load_benchmark(name), Monomial(exponents))
+        assert ms.dimension == size > _EXACT_DIM_CAP
+        assert_exact_solution(ms, solve_closed_form_vector(ms))
+
+    def test_cyclic_closure_above_the_cap_falls_back_to_float(self):
+        n = _EXACT_DIM_CAP + 1
+        matrix = [[-(i + 1) if i == j else 0 for j in range(n)] for i in range(n)]
+        matrix[0][1] = matrix[1][0] = F(1, 2)  # a 2x2 cycle
+        ms = synthetic_system(matrix, [1] * n)
+        with pytest.raises(ClosedFormUnsupported, match="cap"):
+            solve_closed_form(ms)
+        fm = FunctionalMoment(ms, (F(1),) + (F(0),) * (n - 1), F(0))
+        form, kind, note = best_closed_form(fm)
+        assert kind == "float-spectrum"
+        assert "cap" in note
+        for t in (0.0, 0.5, 2.0):
+            assert math.isclose(
+                form.evaluate(t), eval_numeric(ms, [t])[0, 0], rel_tol=1e-9, abs_tol=1e-12
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_triangular_systems_match_dense(self, data):
+        # Upper-triangular systems relabelled by a permutation, with the
+        # diagonal drawn from few values so that resonance is common.
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        perm = data.draw(st.permutations(range(n)))
+        rates = st.sampled_from([F(-2), F(-1), F(-1, 2), F(0), F(1)])
+        small = st.integers(min_value=-2, max_value=2)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            matrix[perm[i]][perm[i]] = data.draw(rates)
+            for j in range(i + 1, n):
+                matrix[perm[i]][perm[j]] = data.draw(small)
+        constants = [data.draw(small) for _ in range(n)]
+        m0 = [data.draw(small) for _ in range(n)]
+        ms = synthetic_system(matrix, m0, constants=constants)
+        forms = _triangular_forms(ms)
+        assert forms is not None
+        assert forms == _dense_forms(ms)
+        assert_exact_solution(ms, forms)
 
 
 class TestFloatPath:
