@@ -74,11 +74,9 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _default_times() -> tuple[float, ...]:
-    return tuple(i * 0.5 for i in range(21))  # 0, 0.5, ..., 10
-
-
-def _parse_times(text: str) -> tuple[float, ...]:
+def _parse_times(text: str | None) -> tuple[float, ...]:
+    if not text:
+        return tuple(i * 0.5 for i in range(21))  # 0, 0.5, ..., 10
     try:
         times = tuple(float(part) for part in text.split(","))
     except ValueError:
@@ -180,6 +178,20 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float, default=1e-3, help="Euler step (default 1e-3)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
     parser.add_argument("--workers", type=int, default=1, help="simulation worker threads (default 1)")
+
+
+def _sim_config(args: argparse.Namespace, times: Sequence[float]) -> SimConfig:
+    """Simulation settings from the flags, recording at the positive times."""
+    sim_times = tuple(t for t in times if t > 0)
+    if not sim_times:
+        raise _CliFailure("need at least one positive record time", EXIT_USAGE)
+    return SimConfig(
+        dt=args.dt,
+        paths=args.paths,
+        seed=args.seed,
+        record_times=sim_times,
+        workers=args.workers,
+    )
 
 
 @dataclass
@@ -319,18 +331,9 @@ def _run_simulation_comparison(
     times: Sequence[float],
     args: argparse.Namespace,
 ) -> tuple[list[dict], bool]:
-    sim_times = tuple(t for t in times if t > 0)
-    if not sim_times:
-        raise _CliFailure("--simulate needs at least one positive time", EXIT_USAGE)
-    cfg = SimConfig(
-        dt=args.dt,
-        paths=args.paths,
-        seed=args.seed,
-        record_times=sim_times,
-        workers=args.workers,
-    )
+    cfg = _sim_config(args, times)
     estimates = simulate_functional(model, coeffs, cfg)
-    exact = fm.eval_numeric(sim_times)
+    exact = fm.eval_numeric(cfg.record_times)
     rows: list[dict] = []
     all_ok = True
     for est, value in zip(estimates, exact):
@@ -354,7 +357,7 @@ def _run_simulation_comparison(
 def _cmd_moment(args: argparse.Namespace) -> int:
     model = _load(args.model)
     label, coeffs = _target_coeffs(args, model)
-    times = _parse_times(args.times) if args.times else _default_times()
+    times = _parse_times(args.times)
     budget = _budget(args)
 
     report = RunReport(model_name=model.name, target=label)
@@ -453,18 +456,8 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _load(args.model)
     label, coeffs = _target_coeffs(args, model)
-    times = _parse_times(args.times) if args.times else _default_times()
-    sim_times = tuple(t for t in times if t > 0)
-    if not sim_times:
-        raise _CliFailure("need at least one positive record time", EXIT_USAGE)
-    cfg = SimConfig(
-        dt=args.dt,
-        paths=args.paths,
-        seed=args.seed,
-        record_times=sim_times,
-        workers=args.workers,
-    )
-    estimates = simulate_functional(model, coeffs, cfg)
+    times = _parse_times(args.times)
+    estimates = simulate_functional(model, coeffs, _sim_config(args, times))
     if args.json:
         doc = {
             "model": model.name,
@@ -585,7 +578,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     model = _load(args.model)
     label, coeffs = _target_coeffs(args, model)
-    times = _parse_times(args.times) if args.times else _default_times()
+    times = _parse_times(args.times)
     if (args.markov_threshold is None) != (args.power is None):
         raise _CliFailure(
             "--markov-threshold and --power must be given together", EXIT_USAGE

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -60,11 +61,16 @@ class DivergenceReport:
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """The closed linear ODE dm/dt = A m + c with m(0), over ordered indices."""
+    """The closed linear ODE dm/dt = A m + c with m(0), over ordered indices.
+
+    Row r of A is stored sparse in `rows[r]`: the generator image of
+    indices[r] as (column, coefficient) pairs, nonzeros only, sorted by
+    column.
+    """
 
     model_name: str
     indices: tuple[Monomial, ...]
-    matrix_a: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     vector_c: tuple[Fraction, ...]
     m0: tuple[Fraction, ...]
     seed_count: int = 1
@@ -72,6 +78,21 @@ class MomentSystem:
     @property
     def dimension(self) -> int:
         return len(self.indices)
+
+    @cached_property
+    def matrix_a(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense n x n view of A, derived from `rows` on first use."""
+        return tuple(map(tuple, self._dense(Fraction(0), lambda v: v)))
+
+    def _dense(self, zero, cast) -> list[list]:
+        """Row-major n x n cells: `zero`, and cast(coefficient) at nonzeros."""
+        out = []
+        for row in self.rows:
+            cells = [zero] * self.dimension
+            for col, coeff in row:
+                cells[col] = cast(coeff)
+            out.append(cells)
+        return out
 
     def index_of(self, mono: Monomial) -> int:
         try:
@@ -83,7 +104,7 @@ class MomentSystem:
         return {
             "model": self.model_name,
             "indices": [list(m.exponents) for m in self.indices],
-            "matrix": [[str(v) for v in row] for row in self.matrix_a],
+            "matrix": self._dense("0", str),
             "constant": [str(v) for v in self.vector_c],
             "initial": [str(v) for v in self.m0],
         }
@@ -178,23 +199,16 @@ def build_closure_multi(
 
     indices = tuple(discovered)
     position = {mono: i for i, mono in enumerate(indices)}
-    size = len(indices)
-    matrix = []
-    constants = []
-    for beta in indices:
-        row = [Fraction(0)] * size
-        image = images[beta]
-        for gamma, coeff in image.linear_part.items():
-            row[position[gamma]] = coeff
-        matrix.append(tuple(row))
-        constants.append(image.constant)
-    m0 = tuple(initial_moment(model.initial, mono) for mono in indices)
+    rows = tuple(
+        tuple(sorted((position[gamma], c) for gamma, c in images[beta].linear_part.items()))
+        for beta in indices
+    )
     return MomentSystem(
         model_name=model.name,
         indices=indices,
-        matrix_a=tuple(matrix),
-        vector_c=tuple(constants),
-        m0=m0,
+        rows=rows,
+        vector_c=tuple(images[beta].constant for beta in indices),
+        m0=tuple(initial_moment(model.initial, mono) for mono in indices),
         seed_count=len(seeds),
     )
 
@@ -213,36 +227,24 @@ def system_rows(
     ms: MomentSystem,
 ) -> list[tuple[Monomial, dict[Monomial, Fraction], Fraction]]:
     """Human-auditable dump: (index, {index: coefficient}, constant) per row."""
-    rows = []
-    for r, beta in enumerate(ms.indices):
-        combo = {
-            ms.indices[s]: ms.matrix_a[r][s]
-            for s in range(ms.dimension)
-            if ms.matrix_a[r][s]
-        }
-        rows.append((beta, combo, ms.vector_c[r]))
-    return rows
+    return [
+        (beta, {ms.indices[col]: coeff for col, coeff in row}, constant)
+        for beta, row, constant in zip(ms.indices, ms.rows, ms.vector_c)
+    ]
 
 
 def check_closedness(model: SdeModel, ms: MomentSystem) -> bool:
     """Post-hoc verification of the closedness invariant (used by tests/CLI).
 
-    Every monomial in every generator image must be present in the index set,
-    with matrix/constant entries exactly equal to the image coefficients.
+    Re-applies the generator to every index: each image must equal the
+    stored row and constant exactly, so every monomial it mentions is in the
+    index set.
     """
     gen = Generator(model)
-    position = {mono: i for i, mono in enumerate(ms.indices)}
-    if len(position) != len(ms.indices):
+    if len(set(ms.indices)) != len(ms.indices):
         return False
-    for r, beta in enumerate(ms.indices):
+    for beta, combo, constant in system_rows(ms):
         image = gen.apply(beta)
-        if image.constant != ms.vector_c[r]:
-            return False
-        expected = dict(image.linear_part)
-        for s in range(ms.dimension):
-            coeff = ms.matrix_a[r][s]
-            if coeff != expected.pop(ms.indices[s], Fraction(0)):
-                return False
-        if expected:  # image mentions a monomial outside the closure
+        if image.constant != constant or dict(image.linear_part) != combo:
             return False
     return True

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
@@ -121,13 +122,15 @@ def expm(matrix: np.ndarray) -> np.ndarray:
 ExactMatrix = list[list[Fraction]]
 
 
-def augmented_matrix_exact(ms: MomentSystem) -> ExactMatrix:
-    d = ms.dimension
-    rows: ExactMatrix = []
-    for r in range(d):
-        rows.append(list(ms.matrix_a[r]) + [ms.vector_c[r]])
-    rows.append([Fraction(0)] * (d + 1))
-    return rows
+def _augmented_float(ms: MomentSystem) -> np.ndarray:
+    """[[A, c], [0, 0]] in double precision, filled from the sparse rows."""
+    n = ms.dimension
+    aug = np.zeros((n + 1, n + 1))
+    for i, row in enumerate(ms.rows):
+        for j, coeff in row:
+            aug[i, j] = float(coeff)
+        aug[i, n] = float(ms.vector_c[i])
+    return aug
 
 
 def augmented_state0(ms: MomentSystem) -> list[Fraction]:
@@ -142,7 +145,7 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
         raise ValueError("times must be non-negative")
     if sorted(times) != times:
         raise ValueError("times must be sorted ascending")
-    aug = np.array([[float(v) for v in row] for row in augmented_matrix_exact(ms)])
+    aug = _augmented_float(ms)
     v0 = np.array([float(v) for v in augmented_state0(ms)])
     out = np.empty((len(times), ms.dimension))
     for row, t in enumerate(times):
@@ -300,19 +303,10 @@ def _nullspace(matrix: ExactMatrix) -> list[list[Fraction]]:
 
 def _solve_square(a: ExactMatrix, b: list[Fraction]) -> list[Fraction]:
     k = len(a)
-    m = [a[i][:] + [b[i]] for i in range(k)]
-    for col in range(k):
-        pivot_row = next((i for i in range(col, k) if m[i][col]), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for i in range(k):
-            if i != col and m[i][col]:
-                factor = m[i][col]
-                m[i] = [u - factor * v for u, v in zip(m[i], m[col])]
-    return [m[i][k] for i in range(k)]
+    reduced, pivots = _rref([a[i] + [b[i]] for i in range(k)])
+    if pivots != list(range(k)):
+        raise ValueError("singular matrix")
+    return [reduced[i][k] for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +314,32 @@ def _solve_square(a: ExactMatrix, b: list[Fraction]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _is_zero_scalar(v: Scalar) -> bool:
-    return v == 0
-
-
-def _format_rational(v: Fraction) -> str:
-    return str(v)
-
-
 def _format_float_scalar(v: Scalar) -> str:
     if isinstance(v, complex):
         return f"({v.real:.12g}{v.imag:+.12g}j)"
     return f"{float(v):.12g}"
+
+
+def _decimal_sum(terms: Sequence[tuple[Fraction, Sequence[Fraction]]], t: float) -> float:
+    """Value at t of exact-rational terms.  The terms of large closures cancel
+    by many orders of magnitude, so they are summed in decimal, with more
+    digits until two successive sums agree to double precision."""
+    previous = None
+    for digits in (32, 64, 128, 256, 512, 1024):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            x = Decimal(float(t))
+            total = Decimal(0)
+            for lam, coeffs in terms:
+                poly = Decimal(0)
+                for c in reversed(coeffs):
+                    poly = poly * x + Decimal(c.numerator) / c.denominator
+                total += poly * (Decimal(lam.numerator) / lam.denominator * x).exp()
+        value = float(total)
+        if previous is not None and abs(value - previous) <= 2**-52 * abs(value):
+            break
+        previous = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -351,7 +359,7 @@ class ClosedForm:
         cleaned: list[tuple[Scalar, tuple[Scalar, ...]]] = []
         for lam, coeffs in term_map.items():
             trimmed = list(coeffs)
-            while trimmed and _is_zero_scalar(trimmed[-1]):
+            while trimmed and trimmed[-1] == 0:
                 trimmed.pop()
             if trimmed:
                 cleaned.append((lam, tuple(trimmed)))
@@ -370,6 +378,8 @@ class ClosedForm:
         return ClosedForm.build({Fraction(0) if scalar_kind == "exact-rational" else 0.0: [value]}, scalar_kind)
 
     def evaluate(self, t: float) -> float:
+        if self.scalar_kind == "exact-rational":
+            return _decimal_sum(self.terms, t)
         total = 0.0 + 0.0j
         for lam, coeffs in self.terms:
             poly = 0.0 + 0.0j
@@ -396,7 +406,7 @@ class ClosedForm:
         return ClosedForm.build(out, self.scalar_kind)
 
     def scale(self, factor: Scalar) -> "ClosedForm":
-        if _is_zero_scalar(factor):
+        if factor == 0:
             return ClosedForm(terms=(), scalar_kind=self.scalar_kind)
         return ClosedForm.build(
             {lam: [factor * c for c in coeffs] for lam, coeffs in self.terms},
@@ -457,7 +467,7 @@ class ClosedForm:
 
     def _format_scalar(self, v: Scalar) -> str:
         if self.scalar_kind == "exact-rational":
-            return _format_rational(v)
+            return str(v)
         return _format_float_scalar(v)
 
     def _format_poly(self, coeffs: tuple[Scalar, ...]) -> tuple[str, bool]:
@@ -465,7 +475,7 @@ class ClosedForm:
         non-negative monomial (safe to print without parentheses)."""
         pieces: list[tuple[bool, str]] = []  # (negative, body without sign)
         for d, c in enumerate(coeffs):
-            if _is_zero_scalar(c):
+            if c == 0:
                 continue
             negative = not isinstance(c, complex) and c < 0
             magnitude = -c if negative else c
@@ -488,7 +498,7 @@ class ClosedForm:
         return rendered, simple
 
     def _format_exponent(self, lam: Scalar) -> str:
-        if _is_zero_scalar(lam):
+        if lam == 0:
             return ""
         if not isinstance(lam, complex) and lam == 1:
             return "exp(t)"
@@ -548,10 +558,14 @@ def _exact_spectral_data(
     v_lambda is the generalized-eigenspace component of [m(0); 1] and
     N = (aug - lambda I).  Raises ClosedFormUnsupported for irrational
     spectra, carrying the undeflatable characteristic factor."""
-    aug = augmented_matrix_exact(ms)
-    size = len(aug)
+    size = ms.dimension + 1
+    aug: ExactMatrix = [[Fraction(0)] * size for _ in range(size)]
+    for i, row in enumerate(ms.rows):
+        for j, coeff in row:
+            aug[i][j] = coeff
+        aug[i][-1] = ms.vector_c[i]
     char = characteristic_polynomial(aug)
-    hints = np.linalg.eigvals(np.array([[float(v) for v in row] for row in aug]))
+    hints = np.linalg.eigvals(_augmented_float(ms))
     roots, remaining = extract_rational_roots(char, list(hints))
     if len(remaining) > 1:
         raise ClosedFormUnsupported(
@@ -633,23 +647,21 @@ def _triangular_forms(ms: MomentSystem) -> list[ClosedForm] | None:
     (mu = lambda) q_mu = int_0^t p_mu, one degree higher.  Then
     m_i = sum_mu q_mu e^{mu t} + (m0_i - sum_mu q_mu(0)) e^{lambda t}.
     """
-    deps = [
-        [j for j, v in enumerate(row) if v and j != i]
-        for i, row in enumerate(ms.matrix_a)
-    ]
+    deps = [[j for j, _ in row if j != i] for i, row in enumerate(ms.rows)]
     blocks = _tarjan_sccs(ms.dimension, deps.__getitem__)
     if any(len(block) > 1 for block in blocks):
         return None
     zero = Fraction(0)
     forms: list[ClosedForm] = [ClosedForm((), "exact-rational")] * ms.dimension
     for (i,) in blocks:
-        row = ms.matrix_a[i]
-        lam = row[i]
+        lam = zero
         forcing: dict[Fraction, list[Fraction]] = {}
         if ms.vector_c[i]:
             forcing[zero] = [ms.vector_c[i]]
-        for j in deps[i]:
-            a = row[j]
+        for j, a in ms.rows[i]:
+            if j == i:
+                lam = a
+                continue
             for mu, coeffs in forms[j].terms:
                 acc = forcing.setdefault(mu, [])
                 acc.extend([zero] * (len(coeffs) - len(acc)))
@@ -712,8 +724,7 @@ _COEFF_PRUNE = 1e-12
 
 
 def _float_spectral_data(ms: MomentSystem) -> list[tuple[complex, np.ndarray]]:
-    aug = np.array([[float(v) for v in row] for row in augmented_matrix_exact(ms)])
-    values, vectors = np.linalg.eig(aug)
+    values, vectors = np.linalg.eig(_augmented_float(ms))
     order = np.lexsort((values.imag, values.real))[::-1]
     values = values[order]
     vectors = vectors[:, order]

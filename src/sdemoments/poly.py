@@ -52,9 +52,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_dim(other)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))

@@ -222,6 +222,7 @@ def test_criterion_6_vehicle_gap_reference_form():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @_gate(7, "10^5-path Euler-Maruyama within 4 standard errors of exact values")
 def test_criterion_7_monte_carlo_cross_validation():
     cfg = lambda times: SimConfig(  # noqa: E731 - tiny local alias

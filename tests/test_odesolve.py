@@ -359,7 +359,7 @@ def synthetic_system(matrix, m0, dim_vars=1, constants=None):
     return MomentSystem(
         model_name="synthetic",
         indices=indices,
-        matrix_a=tuple(tuple(F(v) for v in row) for row in matrix),
+        rows=tuple(tuple((j, F(v)) for j, v in enumerate(row) if v) for row in matrix),
         vector_c=tuple(F(v) for v in constants or [0] * n),
         m0=tuple(F(v) for v in m0),
         seed_count=1,
@@ -432,6 +432,16 @@ class TestTriangularPath:
         ms = build_closure(load_benchmark(name), Monomial(exponents))
         assert ms.dimension == size > _EXACT_DIM_CAP
         assert_exact_solution(ms, solve_closed_form_vector(ms))
+
+    @pytest.mark.parametrize("exponents", [(0, 0, 0, 0, 2), (1, 0, 0, 0, 2)])
+    def test_large_exact_forms_evaluate_to_double_precision(self, exponents):
+        # The terms cancel by many orders of magnitude; a double-precision
+        # sum was off by several percent at t = 0.1.
+        ms = build_closure(load_benchmark("gene"), Monomial(exponents))
+        form = solve_closed_form(ms)
+        times = [0.1, 0.25, 0.5]
+        for t, value in zip(times, eval_numeric(ms, times)[:, 0]):
+            assert math.isclose(form.evaluate(t), value, rel_tol=1e-9)
 
     def test_cyclic_closure_above_the_cap_falls_back_to_float(self):
         n = _EXACT_DIM_CAP + 1

@@ -1,11 +1,15 @@
 """Structural solvability: dependency graphs, partitions, weights, certificates."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from sdemoments.cli import main
 from sdemoments.closure import MomentSystem, build_closure
+from sdemoments.generator import Generator
 from sdemoments.model import benchmark_names, load_benchmark
 from sdemoments.poly import Monomial
 from sdemoments.prosolve import (
@@ -317,10 +321,43 @@ def test_certificate_rejects_overweight_index():
     fake = MomentSystem(
         model_name="ou-env",
         indices=(Monomial((0, 1)), Monomial((0, 2))),
-        matrix_a=((zero, zero), (zero, zero)),
+        rows=((), ()),
         vector_c=(zero, zero),
         m0=(zero, zero),
         seed_count=1,
     )
     with pytest.raises(CertificateError, match="exceeds the target cap"):
         certify_closure(model, partition, fake)
+
+
+def test_certificate_reads_the_stored_rows():
+    # a row edited so a light index depends on the heavier target must fail,
+    # although the generator never produces that edge
+    model = load_benchmark("ou-env")
+    partition = check_prosolvable(model).partition
+    ms = build_closure(model, Monomial((0, 2)))
+    bw = compute_block_weights(model, partition)
+    light = min(range(ms.dimension), key=lambda r: weighted_degree(bw, ms.indices[r]))
+    assert weighted_degree(bw, ms.indices[light]) < weighted_degree(bw, ms.indices[0])
+    rows = list(ms.rows)
+    rows[light] = tuple(sorted({**dict(rows[light]), 0: Fraction(1)}.items()))
+    edited = replace(ms, rows=tuple(rows))
+    with pytest.raises(CertificateError, match="weighted degree increased"):
+        certify_closure(model, partition, edited)
+
+
+def test_certify_applies_the_generator_once_per_index(monkeypatch, capsys):
+    # the closure build is the only place the generator runs
+    calls = []
+    original = Generator.apply
+
+    def counting(self, beta):
+        calls.append(beta)
+        return original(self, beta)
+
+    monkeypatch.setattr(Generator, "apply", counting)
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "ou-env.json"
+    code = main(["moment", str(path), "--alpha", "0,4", "--certify", "--times", "1"])
+    assert code == 0
+    assert "closure size: 24" in capsys.readouterr().out
+    assert len(calls) == 24
