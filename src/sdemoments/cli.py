@@ -327,13 +327,14 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _run_simulation_comparison(
     model: SdeModel,
     coeffs: dict[Monomial, Fraction],
-    fm: FunctionalMoment,
     times: Sequence[float],
+    values: Sequence[float],
     args: argparse.Namespace,
 ) -> tuple[list[dict], bool]:
+    """Monte Carlo at the positive times against the samples already taken."""
     cfg = _sim_config(args, times)
     estimates = simulate_functional(model, coeffs, cfg)
-    exact = fm.eval_numeric(cfg.record_times)
+    exact = [value for t, value in zip(times, values) if t > 0]
     rows: list[dict] = []
     all_ok = True
     for est, value in zip(estimates, exact):
@@ -396,15 +397,11 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         if form is not None:
             report.closed_form = str(form)
 
-    try:
-        values = outcome.eval_numeric(times)
-    except OdeSolveError as exc:
-        raise _CliFailure(f"numeric evaluation failed: {exc}", EXIT_MODEL_ERROR)
     report.times = tuple(times)
-    report.values = tuple(float(v) for v in values)
+    report.values = tuple(float(v) for v in outcome.eval_numeric(times))
 
     if args.simulate:
-        rows, all_ok = _run_simulation_comparison(model, coeffs, outcome, times, args)
+        rows, all_ok = _run_simulation_comparison(model, coeffs, times, report.values, args)
         report.simulation = rows
         report.simulation_ok = all_ok
 
@@ -732,6 +729,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BlowUpError as exc:
         print(f"simulation blow-up: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OdeSolveError as exc:
+        print(f"numeric evaluation failed: {exc}", file=sys.stderr)
+        return EXIT_MODEL_ERROR
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR

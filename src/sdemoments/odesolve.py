@@ -6,8 +6,10 @@ The inhomogeneous system is embedded into the augmented homogeneous system
 
 so one matrix exponential covers both parts.  Three evaluation routes:
 
-  * eval_numeric      — double-precision expm (scaling-and-squaring, Pade 13)
-                        at arbitrary times; always available.
+  * eval_numeric      — double precision at arbitrary sorted times; always
+                        available.  The state is carried forward between
+                        sorted times: one expm (scaling-and-squaring,
+                        Pade 13) per distinct gap, then a matrix-vector step.
   * solve_closed_form — exact symbolic solution, terms p(t) * exp(lambda t)
                         with Fraction data.  When every strongly connected
                         component of A's off-diagonal pattern is 1x1 (the
@@ -139,22 +141,33 @@ def augmented_state0(ms: MomentSystem) -> list[Fraction]:
 
 def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     """m(t) for each t, shape (len(times), dimension); row components follow
-    ms.indices.  Raises OdeSolveError when the exponential overflows."""
+    ms.indices.  The augmented state is carried forward through the sorted
+    times: one expm(aug * gap) per distinct gap, then a matrix-vector step; a
+    zero gap leaves the state as it is, so a t = 0 row is m0 exactly.  Raises
+    OdeSolveError when the state overflows."""
     times = list(times)
     if any(t < 0 for t in times):
         raise ValueError("times must be non-negative")
     if sorted(times) != times:
         raise ValueError("times must be sorted ascending")
     aug = _augmented_float(ms)
-    v0 = np.array([float(v) for v in augmented_state0(ms)])
+    state = np.array([float(v) for v in augmented_state0(ms)])
     out = np.empty((len(times), ms.dimension))
-    for row, t in enumerate(times):
-        state = expm(aug * t) @ v0
-        if not np.isfinite(state).all():
-            raise OdeSolveError(
-                f"moment evaluation overflowed at t={t} (matrix norm {np.linalg.norm(aug, 1):.3g})"
-            )
-        out[row] = state[: ms.dimension]
+    previous, step_gap, step = 0.0, None, None
+    # Overflow shows up as a non-finite state, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, t in enumerate(times):
+            gap = t - previous
+            previous = t
+            if gap:
+                if gap != step_gap:
+                    step, step_gap = expm(aug * gap), gap
+                state = step @ state
+            if not np.isfinite(state).all():
+                raise OdeSolveError(
+                    f"moment evaluation overflowed at t={t} (matrix norm {np.linalg.norm(aug, 1):.3g})"
+                )
+            out[row] = state[: ms.dimension]
     return out
 
 
@@ -763,7 +776,10 @@ def solve_closed_form_float(ms: MomentSystem, component: int = 0) -> ClosedForm:
     are pruned."""
     if not 0 <= component < ms.dimension:
         raise IndexError(f"component {component} out of range")
-    data = _float_spectral_data(ms)
+    return _float_component_form(_float_spectral_data(ms), component)
+
+
+def _float_component_form(data: list[tuple[complex, np.ndarray]], component: int) -> ClosedForm:
     coeffs = [vec[component] for _, vec in data]
     scale = max((abs(c) for c in coeffs), default=0.0)
     term_map: dict[Scalar, list[Scalar]] = {}
@@ -805,10 +821,10 @@ class FunctionalMoment:
         acc = ClosedForm((), "float")
         if self.offset:
             acc = acc + ClosedForm.build({0.0: [float(self.offset)]}, "float")
+        data = _float_spectral_data(self.system)
         for component, weight in enumerate(self.weights):
             if weight:
-                part = solve_closed_form_float(self.system, component)
-                acc = acc + part.scale(float(weight))
+                acc = acc + _float_component_form(data, component).scale(float(weight))
         return acc.prune(_COEFF_PRUNE)
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import sdemoments.cli as cli
+import sdemoments.odesolve as odesolve
 from sdemoments.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DIVERGENCE,
@@ -307,6 +308,26 @@ class TestMomentSimulate:
         assert [row["time"] for row in doc["simulation"]] == [0.5, 1.0]
         assert all(row["within_4_sigma"] is True for row in doc["simulation"])
         assert all(row["paths"] == 64 for row in doc["simulation"])
+
+    def test_simulation_reuses_the_samples(self, capsys, monkeypatch):
+        calls = []
+        eval_numeric = odesolve.eval_numeric
+
+        def counting_eval_numeric(ms, times):
+            calls.append(list(times))
+            return eval_numeric(ms, times)
+
+        monkeypatch.setattr(odesolve, "eval_numeric", counting_eval_numeric)
+        code, out, _ = run_cli(
+            capsys, "moment", OU_ENV, "--alpha", "0,2", "--simulate",
+            "--times", "0,0.5", "--paths", "64", "--json",
+        )
+        assert code == EXIT_OK
+        assert calls == [[0.0, 0.5]]
+        doc = json.loads(out)
+        sample = {row["time"]: row["value"] for row in doc["samples"]}
+        assert [row["time"] for row in doc["simulation"]] == [0.5]
+        assert all(row["exact"] == sample[row["time"]] for row in doc["simulation"])
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +634,30 @@ class TestUsage:
         )
         assert code == EXIT_USAGE
         assert "non-negative" in err
+
+
+class TestNumericFailure:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("verify", ["--upper", "1"]), ("moment", [])],
+        ids=["verify", "moment"],
+    )
+    def test_overflow_exits_three_without_traceback(self, write_model, command, flags):
+        # E[x^2] grows like e^{200 t}: the state overflows at t = 10.  Run as
+        # a process so that a traceback or a numpy warning would show.
+        path = write_model(
+            "explode", variables=["x1"], drift=["100*x1"], diffusion=[["1"]], values=["1"]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdemoments", command, path,
+             "--alpha", "2", "--times", "10", *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_MODEL_ERROR
+        assert "numeric evaluation failed: moment evaluation overflowed at t=10" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestModuleEntry:

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdemoments.odesolve as odesolve
 from sdemoments.closure import MomentSystem, build_closure
 from sdemoments.model import load_benchmark
 from sdemoments.odesolve import (
@@ -157,8 +158,38 @@ class TestEvalNumeric:
 
     def test_initial_row_is_m0(self):
         ms = build_closure(load_benchmark("consensus"), Monomial((1, 1)))
-        values = eval_numeric(ms, [0.0])
-        assert np.allclose(values[0], [float(v) for v in ms.m0], atol=1e-14)
+        values = eval_numeric(ms, [0.0, 0.5])
+        assert values[0].tolist() == [float(v) for v in ms.m0]
+
+    def test_one_exponential_per_distinct_gap(self, monkeypatch):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((0, 2)))
+        calls = []
+
+        def counting_expm(matrix):
+            calls.append(matrix)
+            return expm(matrix)
+
+        monkeypatch.setattr(odesolve, "expm", counting_expm)
+        eval_numeric(ms, [0.5 * k for k in range(8)])
+        assert len(calls) == 1
+        calls.clear()
+        eval_numeric(ms, [0.0])
+        assert calls == []
+
+    def test_repeated_time_gives_identical_rows(self):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((0, 2)))
+        values = eval_numeric(ms, [1.0, 1.0])
+        assert values[0].tolist() == values[1].tolist()
+
+    def test_many_steps_match_the_exact_form(self):
+        # 81 times at 0.05 spacing: the gaps differ in their last bits, so
+        # every step is its own exponential; the error must not build up.
+        ms = build_closure(load_benchmark("gene"), Monomial((0, 0, 0, 0, 2)))
+        assert ms.dimension == 85
+        form = solve_closed_form(ms)
+        times = [0.05 * k for k in range(81)]
+        for t, value in zip(times, eval_numeric(ms, times)[:, 0]):
+            assert math.isclose(value, form.evaluate(t), rel_tol=1e-10)
 
     def test_scalar_linear_system(self):
         # single-moment system: m' = -2m + 1, m(0) = 0
@@ -292,6 +323,27 @@ class TestConsensusStudy:
         cf = self.functional().closed_form_float()
         assert cf.scalar_kind == "float"
         assert len(cf.terms) == 2
+
+    def test_float_spectrum_is_decomposed_once(self, monkeypatch):
+        fm = self.functional()
+        assert sum(1 for w in fm.weights if w) == 3
+        per_component = ClosedForm((), "float")
+        for component, weight in enumerate(fm.weights):
+            if weight:
+                part = solve_closed_form_float(fm.system, component)
+                per_component = per_component + part.scale(float(weight))
+        eig = np.linalg.eig
+        calls = []
+
+        def counting_eig(matrix):
+            calls.append(matrix)
+            return eig(matrix)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        form, kind, _ = best_closed_form(fm)
+        assert kind == "float-spectrum"
+        assert len(calls) == 1
+        assert form == per_component.prune(1e-12)
 
     def test_closed_form_falls_back_to_float(self):
         cf, kind, note = best_closed_form(self.functional())
