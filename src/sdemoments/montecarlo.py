@@ -44,8 +44,8 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise SimulationError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise SimulationError("dt must be positive and finite")
         if self.paths <= 0:
             raise SimulationError("paths must be positive")
         if self.workers <= 0:
@@ -53,10 +53,10 @@ class SimConfig:
         times = tuple(float(t) for t in self.record_times)
         if not times:
             raise SimulationError("at least one record time is required")
-        if any(t < 0 for t in times) or any(
+        if not all(math.isfinite(t) and t >= 0 for t in times) or any(
             b <= a for a, b in zip(times, times[1:])
         ):
-            raise SimulationError("record_times must be strictly increasing and non-negative")
+            raise SimulationError("record_times must be finite, strictly increasing and non-negative")
         object.__setattr__(self, "record_times", times)
         if self.horizon > 0 and self.dt > self.horizon:
             raise SimulationError("dt must not exceed the simulation horizon")

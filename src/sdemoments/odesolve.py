@@ -11,16 +11,15 @@ so one matrix exponential covers both parts.  Three evaluation routes:
                         sorted times: one expm (scaling-and-squaring,
                         Pade 13) per distinct gap, then a matrix-vector step.
   * solve_closed_form — exact symbolic solution, terms p(t) * exp(lambda t)
-                        with Fraction data.  When every strongly connected
-                        component of A's off-diagonal pattern is 1x1 (the
-                        closure is triangular up to reordering, as pro-solvable
-                        models give), each moment is solved by exact variation
-                        of constants after the moments it depends on; the
-                        spectrum is the diagonal, at any dimension.  Otherwise
-                        a dense spectral fallback, capped at dimension
-                        _EXACT_DIM_CAP: characteristic polynomial over
-                        Fraction, rational roots with exact deflation,
-                        generalized eigenspaces by exact nullspaces.
+                        with Fraction data, at any dimension.  The moments
+                        are solved one strongly connected component (SCC) of
+                        A's off-diagonal pattern at a time, after the
+                        components they depend on.  A 1x1 component is one
+                        exact variation of constants, its eigenvalue read off
+                        the diagonal; a larger one first takes a rational
+                        basis that makes it triangular, built from its own
+                        characteristic polynomial (rational roots, exact
+                        kernels of (A_BB - lambda)^j).
   * solve_closed_form_float
                       — numeric eigendecomposition for irrational spectra;
                         refuses clustered/repeated eigenvalues (Jordan
@@ -40,7 +39,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -60,9 +58,10 @@ class OdeSolveError(RuntimeError):
 class ClosedFormUnsupported(Exception):
     """The requested closed form cannot be produced.
 
-    For the exact path, `remaining_factor` carries the monic factor of the
-    characteristic polynomial (ascending coefficients) left after removing
-    all rational roots.
+    For the exact path, `remaining_factor` carries the monic factor
+    (ascending coefficients) of the first SCC block whose spectrum is not
+    rational: the block's characteristic polynomial with its rational roots
+    removed, a product of factors none of which has a rational root.
     """
 
     def __init__(self, reason: str, remaining_factor: tuple[Fraction, ...] | None = None):
@@ -249,11 +248,12 @@ def _deflate(coeffs_asc: Sequence[Fraction], root: Fraction) -> list[Fraction]:
 
 def _rational_candidates(hints: Sequence[complex]) -> list[Fraction]:
     """Rational guesses near the numeric spectrum, most negative last so the
-    extraction below peels candidates deterministically."""
+    extraction below peels candidates deterministically.  A rational root
+    of multiplicity k with Jordan structure comes out of the float solver
+    as a cluster of radius about eps^(1/k), possibly with no real member,
+    so the real part of every hint is tried; each guess is verified exactly."""
     found: set[Fraction] = {Fraction(0)}
     for h in hints:
-        if abs(h.imag) > 1e-6:
-            continue
         r = float(h.real)
         found.add(Fraction(round(r)))
         for denominator in (1, 2, 3, 4, 6, 8, 12, 16, 100, 10**4, 10**6):
@@ -312,14 +312,6 @@ def _nullspace(matrix: ExactMatrix) -> list[list[Fraction]]:
             vec[c] = -rref[r][f]
         basis.append(vec)
     return basis
-
-
-def _solve_square(a: ExactMatrix, b: list[Fraction]) -> list[Fraction]:
-    k = len(a)
-    reduced, pivots = _rref([a[i] + [b[i]] for i in range(k)])
-    if pivots != list(range(k)):
-        raise ValueError("singular matrix")
-    return [reduced[i][k] for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -558,169 +550,136 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-# The dense spectral path is quartic in the dimension; past this size a
-# closure that is not triangular goes to the float spectrum.
-_EXACT_DIM_CAP = 40
+Terms = dict[Fraction, list[Fraction]]  # lambda -> p(t) coefficients of p(t) e^{lambda t}
+_ZERO = Fraction(0)
 
 
-@lru_cache(maxsize=16)
-def _exact_spectral_data(
-    ms: MomentSystem,
-) -> tuple[tuple[Fraction, tuple[tuple[Fraction, ...], ...]], ...]:
-    """Per rational eigenvalue lambda: vectors w_j = N^j v_lambda / j!, where
-    v_lambda is the generalized-eigenspace component of [m(0); 1] and
-    N = (aug - lambda I).  Raises ClosedFormUnsupported for irrational
-    spectra, carrying the undeflatable characteristic factor."""
-    size = ms.dimension + 1
-    aug: ExactMatrix = [[Fraction(0)] * size for _ in range(size)]
-    for i, row in enumerate(ms.rows):
-        for j, coeff in row:
-            aug[i][j] = coeff
-        aug[i][-1] = ms.vector_c[i]
-    char = characteristic_polynomial(aug)
-    hints = np.linalg.eigvals(_augmented_float(ms))
-    roots, remaining = extract_rational_roots(char, list(hints))
+def _add_terms(acc: Terms, weight: Fraction, terms) -> None:
+    """acc += weight * sum_mu p_mu(t) e^{mu t}, terms given as (mu, p_mu) pairs."""
+    for mu, coeffs in terms:
+        poly = acc.setdefault(mu, [])
+        poly.extend([_ZERO] * (len(coeffs) - len(poly)))
+        for d, c in enumerate(coeffs):
+            poly[d] += weight * c
+
+
+def _scalar_form(lam: Fraction, forcing: Terms, start: Fraction) -> ClosedForm:
+    """y' = lam y + sum_mu p_mu(t) e^{mu t}, y(0) = start, by variation of
+    constants.  The particular part q_mu e^{mu t} solves
+    (mu - lam) q_mu + q_mu' = p_mu, that is
+    q_mu = sum_k (-1)^k p_mu^(k) / (mu - lam)^(k+1), and at resonance
+    (mu = lam) q_mu = int_0^t p_mu, one degree higher.  Then
+    y = sum_mu q_mu e^{mu t} + (start - sum_mu q_mu(0)) e^{lam t}."""
+    terms: Terms = {}
+    free = start
+    for mu, p in forcing.items():
+        if mu == lam:
+            q = [_ZERO] + [c / (d + 1) for d, c in enumerate(p)]
+        else:
+            delta = mu - lam
+            q = [_ZERO] * len(p)
+            carry = _ZERO  # (k + 1) * q[k + 1]
+            for k in range(len(p) - 1, -1, -1):
+                q[k] = (p[k] - carry) / delta
+                carry = k * q[k]
+            free -= q[0]
+        terms[mu] = q
+    terms.setdefault(lam, [_ZERO])[0] += free
+    return ClosedForm.build(terms, "exact-rational")
+
+
+def _triangularizing_basis(a: ExactMatrix) -> ExactMatrix:
+    """Rational T with T^-1 a T upper triangular.  Its columns run through
+    the eigenvalues of a; for each eigenvalue lam, a basis of
+    ker (a - lam) is extended by ker (a - lam)^2, and so on up to the
+    multiplicity, so (a - lam) maps every column into the span of the
+    columns before it.  Raises ClosedFormUnsupported when the
+    characteristic polynomial keeps a factor with no rational root."""
+    hints = np.linalg.eigvals(np.array(a, dtype=float))
+    roots, remaining = extract_rational_roots(characteristic_polynomial(a), list(hints))
     if len(remaining) > 1:
         raise ClosedFormUnsupported(
-            "the spectrum is not rational; an irreducible factor of degree "
-            f"{len(remaining) - 1} remains",
+            f"the spectrum is not rational: an SCC block of size {len(a)} leaves a "
+            f"characteristic factor of degree {len(remaining) - 1} with no rational root",
             remaining_factor=tuple(remaining),
         )
-
-    v0 = augmented_state0(ms)
-    ordered = sorted(roots, reverse=True)
-    bases: dict[Fraction, list[list[Fraction]]] = {}
     columns: list[list[Fraction]] = []
-    for lam in ordered:
-        mult = roots[lam]
-        shifted = _shift_diag(aug, lam)
-        power = shifted
-        for _ in range(mult - 1):
+    for lam, mult in sorted(roots.items(), reverse=True):
+        shifted = _shift_diag(a, lam)
+        power, chain = shifted, []
+        while len(chain) < mult:
+            # The pivot columns of the reduced form keep the chain so far
+            # and add the kernel vectors independent of it.
+            candidates = chain + _nullspace(power)
+            _, pivots = _rref([list(row) for row in zip(*candidates)])
+            chain = [candidates[c] for c in pivots]
             power = _mat_mul(power, shifted)
-        basis = _nullspace(power)
-        if len(basis) != mult:
-            raise OdeSolveError(
-                f"generalized eigenspace for {lam} has dimension {len(basis)}, expected {mult}"
-            )
-        bases[lam] = basis
-        columns.extend(basis)
-
-    matrix_b = [[columns[j][i] for j in range(size)] for i in range(size)]
-    mix = _solve_square(matrix_b, v0)
-
-    data = []
-    offset = 0
-    for lam in ordered:
-        mult = roots[lam]
-        span = bases[lam]
-        v_lam = [Fraction(0)] * size
-        for j in range(mult):
-            factor = mix[offset + j]
-            if factor:
-                for i in range(size):
-                    v_lam[i] += factor * span[j][i]
-        offset += mult
-        if not any(v_lam):
-            continue
-        shifted = _shift_diag(aug, lam)
-        vectors = [tuple(v_lam)]
-        w = v_lam
-        for j in range(1, mult):
-            w = [value / j for value in _mat_vec(shifted, w)]
-            if not any(w):
-                break
-            vectors.append(tuple(w))
-        data.append((lam, tuple(vectors)))
-    return tuple(data)
+        columns.extend(chain)
+    return [list(row) for row in zip(*columns)]
 
 
-def _dense_forms(ms: MomentSystem) -> list[ClosedForm]:
-    """Exact ClosedForm of every component from the dense spectral data."""
-    data = _exact_spectral_data(ms)
-    return [
-        ClosedForm.build(
-            {lam: [vec[component] for vec in vectors] for lam, vectors in data},
-            "exact-rational",
-        )
-        for component in range(ms.dimension)
-    ]
-
-
-def _triangular_forms(ms: MomentSystem) -> list[ClosedForm] | None:
-    """Exact ClosedForm of every component by variation of constants, one
-    index at a time, or None when A's off-diagonal pattern has a cycle.
-
-    Tarjan emits each strongly connected component after every component it
-    reaches, so when all are 1x1 each index i comes after the indices it
-    depends on.  With lambda = A[i][i], its forcing
-    c_i + sum_{j != i} A[i][j] m_j(t) is a sum of p_mu(t) e^{mu t} terms of
-    solved indices.  The particular part q_mu e^{mu t} solves
-    (mu - lambda) q_mu + q_mu' = p_mu, that is
-    q_mu = sum_k (-1)^k p_mu^(k) / (mu - lambda)^(k+1), and at resonance
-    (mu = lambda) q_mu = int_0^t p_mu, one degree higher.  Then
-    m_i = sum_mu q_mu e^{mu t} + (m0_i - sum_mu q_mu(0)) e^{lambda t}.
-    """
-    deps = [[j for j, _ in row if j != i] for i, row in enumerate(ms.rows)]
-    blocks = _tarjan_sccs(ms.dimension, deps.__getitem__)
-    if any(len(block) > 1 for block in blocks):
-        return None
-    zero = Fraction(0)
-    forms: list[ClosedForm] = [ClosedForm((), "exact-rational")] * ms.dimension
-    for (i,) in blocks:
-        lam = zero
-        forcing: dict[Fraction, list[Fraction]] = {}
-        if ms.vector_c[i]:
-            forcing[zero] = [ms.vector_c[i]]
-        for j, a in ms.rows[i]:
-            if j == i:
-                lam = a
-                continue
-            for mu, coeffs in forms[j].terms:
-                acc = forcing.setdefault(mu, [])
-                acc.extend([zero] * (len(coeffs) - len(acc)))
-                for d, c in enumerate(coeffs):
-                    acc[d] += a * c
-        terms: dict[Fraction, list[Fraction]] = {}
-        free = ms.m0[i]
-        for mu, p in forcing.items():
-            if mu == lam:
-                q = [zero] + [c / (d + 1) for d, c in enumerate(p)]
-            else:
-                delta = mu - lam
-                q = [zero] * len(p)
-                carry = zero  # (k + 1) * q[k + 1]
-                for k in range(len(p) - 1, -1, -1):
-                    q[k] = (p[k] - carry) / delta
-                    carry = k * q[k]
-                free -= q[0]
-            terms[mu] = q
-        terms.setdefault(lam, [zero])[0] += free
-        forms[i] = ClosedForm.build(terms, "exact-rational")
-    return forms
+def _block_forms(a: ExactMatrix, forcings: list[Terms], start: list[Fraction]) -> list[ClosedForm]:
+    """m' = a m + forcing(t), m(0) = start, for one SCC diagonal block.  A
+    1x1 block is one scalar solve.  Otherwise m = T y with T from
+    _triangularizing_basis, so y' = U y + T^-1 forcing with U = T^-1 a T
+    upper triangular, solved from the last row up."""
+    k = len(a)
+    if k == 1:
+        return [_scalar_form(a[0][0], forcings[0], start[0])]
+    t = _triangularizing_basis(a)
+    reduced, _ = _rref([row + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(t)])
+    t_inv = [row[k:] for row in reduced]
+    u = _mat_mul(t_inv, _mat_mul(a, t))
+    y0 = _mat_vec(t_inv, start)
+    empty = ClosedForm((), "exact-rational")
+    ys = [empty] * k
+    for i in reversed(range(k)):
+        forcing: Terms = {}
+        for weight, block_forcing in zip(t_inv[i], forcings):
+            if weight:
+                _add_terms(forcing, weight, block_forcing.items())
+        for l in range(i + 1, k):
+            if u[i][l]:
+                _add_terms(forcing, u[i][l], ys[l].terms)
+        ys[i] = _scalar_form(u[i][i], forcing, y0[i])
+    return [sum((y.scale(weight) for weight, y in zip(row, ys)), empty) for row in t]
 
 
 def solve_closed_form_vector(ms: MomentSystem) -> list[ClosedForm]:
-    """Exact ClosedForm for every component of m(t); see solve_closed_form."""
-    forms = _triangular_forms(ms)
-    if forms is not None:
-        return forms
-    if ms.dimension > _EXACT_DIM_CAP:
-        raise ClosedFormUnsupported(
-            "the closure is not triangular (its dependency graph has a cycle) "
-            f"and its dimension {ms.dimension} exceeds the dense exact-spectrum "
-            f"cap ({_EXACT_DIM_CAP})"
-        )
-    return _dense_forms(ms)
+    """Exact ClosedForm for every component of m(t); see solve_closed_form.
+
+    Tarjan emits each strongly connected component of A's off-diagonal
+    pattern after every component it reaches, so each block is solved after
+    the indices it depends on: their solved forms, with c, are the block's
+    forcing."""
+    deps = [[j for j, _ in row if j != i] for i, row in enumerate(ms.rows)]
+    forms: list[ClosedForm] = [ClosedForm((), "exact-rational")] * ms.dimension
+    for block in _tarjan_sccs(ms.dimension, deps.__getitem__):
+        local = {i: p for p, i in enumerate(block)}
+        a = [[_ZERO] * len(block) for _ in block]
+        forcings: list[Terms] = []
+        for p, i in enumerate(block):
+            forcing = {_ZERO: [ms.vector_c[i]]} if ms.vector_c[i] else {}
+            for j, coeff in ms.rows[i]:
+                if j in local:
+                    a[p][local[j]] = coeff
+                else:
+                    _add_terms(forcing, coeff, forms[j].terms)
+            forcings.append(forcing)
+        for i, form in zip(block, _block_forms(a, forcings, [ms.m0[i] for i in block])):
+            forms[i] = form
+    return forms
 
 
 def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
     """Exact closed form of one moment component (default: the target).
 
-    Triangular closures (every strongly connected component of A's
-    off-diagonal pattern 1x1) are solved at any dimension.  Otherwise the
-    dense spectral path needs dimension <= _EXACT_DIM_CAP and a rational
-    augmented spectrum; it raises ClosedFormUnsupported, with the remaining
-    characteristic factor for an irrational spectrum, and the float-spectrum
+    The indices are solved one strongly connected component of A's
+    off-diagonal pattern at a time, at any dimension: a 1x1 block by exact
+    variation of constants, a larger block after a rational change of basis
+    built from its own characteristic polynomial makes it triangular.
+    Raises ClosedFormUnsupported, carrying the remaining characteristic
+    factor, when a block's spectrum is not rational; the float-spectrum
     path is the fallback."""
     if not 0 <= component < ms.dimension:
         raise IndexError(f"component {component} out of range")
@@ -836,7 +795,7 @@ def best_closed_form(fm: FunctionalMoment) -> tuple[ClosedForm | None, str, str 
     path was unavailable."""
     try:
         return fm.closed_form_exact(), "exact-rational", None
-    except (ClosedFormUnsupported, OdeSolveError) as exc:
+    except ClosedFormUnsupported as exc:
         exact_note = str(exc)
     try:
         return fm.closed_form_float(), "float-spectrum", f"exact path unavailable: {exact_note}"

@@ -413,12 +413,13 @@ class TestSimulate:
         assert "non-finite" in err
         assert "nan" not in out
 
-    def test_bad_step_exits_three(self, capsys, write_model):
+    @pytest.mark.parametrize("dt", ["-0.1", "nan", "inf"])
+    def test_bad_step_exits_three(self, capsys, write_model, dt):
         path = write_model(
             "noise", variables=["x1"], drift=["0"], diffusion=[["1"]], values=["0"]
         )
         code, _, err = run_cli(
-            capsys, "simulate", path, "--alpha", "1", "--times", "1", "--dt", "-0.1"
+            capsys, "simulate", path, "--alpha", "1", "--times", "1", "--dt", dt
         )
         assert code == EXIT_MODEL_ERROR
         assert "simulation error" in err
@@ -628,9 +629,10 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "sorted ascending" in err
 
-    def test_negative_times_rejected(self, capsys):
+    @pytest.mark.parametrize("times", ["-1,0", "nan", "0,inf"])
+    def test_negative_times_rejected(self, capsys, times):
         code, _, err = run_cli(
-            capsys, "moment", OU_ENV, "--alpha", "0,2", "--times=-1,0"
+            capsys, "moment", OU_ENV, "--alpha", "0,2", f"--times={times}"
         )
         assert code == EXIT_USAGE
         assert "non-negative" in err

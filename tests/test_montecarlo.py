@@ -45,9 +45,10 @@ class TestSimConfig:
         assert cfg.record_times == (1.0,)
         assert cfg.horizon == 1.0
 
-    def test_positive_dt_required(self):
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+    def test_positive_dt_required(self, dt):
         with pytest.raises(SimulationError):
-            SimConfig(dt=0.0)
+            SimConfig(dt=dt)
 
     def test_positive_paths_required(self):
         with pytest.raises(SimulationError):
@@ -68,6 +69,9 @@ class TestSimConfig:
     def test_record_times_non_negative(self):
         with pytest.raises(SimulationError):
             SimConfig(record_times=(-1.0, 0.5))
+        for times in ((math.nan,), (0.5, math.inf)):
+            with pytest.raises(SimulationError, match="finite"):
+                SimConfig(record_times=times)
 
     def test_record_times_non_empty(self):
         with pytest.raises(SimulationError):

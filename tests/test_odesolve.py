@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ import sdemoments.odesolve as odesolve
 from sdemoments.closure import MomentSystem, build_closure
 from sdemoments.model import load_benchmark
 from sdemoments.odesolve import (
-    _EXACT_DIM_CAP,
     ClosedForm,
     ClosedFormUnsupported,
     FunctionalMoment,
@@ -28,10 +28,9 @@ from sdemoments.odesolve import (
     solve_closed_form,
     solve_closed_form_float,
     solve_closed_form_vector,
-    _dense_forms,
-    _triangular_forms,
 )
 from sdemoments.poly import Monomial, parse_polynomial
+from sdemoments.prosolve import _tarjan_sccs
 
 
 def F(a, b=1):
@@ -429,8 +428,46 @@ def assert_exact_solution(ms, forms):
         assert residual.terms == (), f"row {r} residual {residual}"
 
 
+def assert_matches_sympy(ms, forms):
+    """Each form equals the matching row of exp(aug t) [m0; 1], written out
+    from sympy's Jordan decomposition aug = P J P^-1."""
+    t = sympy.Symbol("t")
+    size = ms.dimension + 1
+    aug = sympy.zeros(size, size)
+    for i, row in enumerate(ms.rows):
+        for j, coeff in row:
+            aug[i, j] = sympy.Rational(coeff.numerator, coeff.denominator)
+        aug[i, size - 1] = sympy.Rational(ms.vector_c[i].numerator, ms.vector_c[i].denominator)
+    v0 = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in ms.m0] + [1])
+    p, jordan = aug.jordan_form()
+    w = p.LUsolve(v0)
+    y = []
+    for i in range(size):
+        # exp(J t) row i: t^k / k! e^{lambda t} along i's Jordan chain
+        entry, j = 0, i
+        while True:
+            entry += t ** (j - i) / sympy.factorial(j - i) * sympy.exp(jordan[i, i] * t) * w[j]
+            if j + 1 == size or jordan[j, j + 1] != 1:
+                break
+            j += 1
+        y.append(entry)
+    solution = p * sympy.Matrix(y)
+    for r, form in enumerate(forms):
+        expr = sum(
+            sum(sympy.Rational(c.numerator, c.denominator) * t**d for d, c in enumerate(coeffs))
+            * sympy.exp(sympy.Rational(lam.numerator, lam.denominator) * t)
+            for lam, coeffs in form.terms
+        )
+        assert sympy.expand(solution[r] - expr) == 0, f"row {r}: {form}"
+
+
+def block_sizes(ms):
+    deps = [[j for j, _ in row if j != i] for i, row in enumerate(ms.rows)]
+    return sorted(len(block) for block in _tarjan_sccs(ms.dimension, deps.__getitem__))
+
+
 # ---------------------------------------------------------------------------
-# Triangular back-substitution versus the dense spectral path
+# The SCC-block exact solver, checked by its residual and against sympy
 # ---------------------------------------------------------------------------
 
 
@@ -448,21 +485,24 @@ class TestTriangularPath:
     )
     def test_matches_dense_path_on_table_rows(self, name, exponents):
         ms = build_closure(load_benchmark(name), Monomial(exponents))
-        forms = _triangular_forms(ms)
-        assert forms is not None
-        assert forms == _dense_forms(ms)
+        forms = solve_closed_form_vector(ms)
+        assert_exact_solution(ms, forms)
+        if ms.dimension <= 15:
+            assert_matches_sympy(ms, forms)
 
     def test_matches_dense_path_on_functional_closure(self):
         model = load_benchmark("vehicles")
         fm = linear_functional_moment(model, functional_terms(model, "(p1 - p2)^2"))
-        assert _triangular_forms(fm.system) == _dense_forms(fm.system)
+        assert_exact_solution(fm.system, solve_closed_form_vector(fm.system))
 
     @pytest.mark.parametrize(
         "name, exponents", [("consensus", (1, 1)), ("oscillator", (0, 1, 2))]
     )
     def test_cyclic_closures_are_not_triangular(self, name, exponents):
         ms = build_closure(load_benchmark(name), Monomial(exponents))
-        assert _triangular_forms(ms) is None
+        assert block_sizes(ms)[-1] > 1
+        with pytest.raises(ClosedFormUnsupported, match="SCC block of size .* no rational root"):
+            solve_closed_form_vector(ms)
 
     def test_resonance_raises_the_degree(self):
         # m1' = -m1, m2' = -m2 + m1, m(0) = (1, 0): m1 = e^{-t} forces m2 at
@@ -482,7 +522,7 @@ class TestTriangularPath:
     )
     def test_rows_above_the_dense_cap_solve_exactly(self, name, exponents, size):
         ms = build_closure(load_benchmark(name), Monomial(exponents))
-        assert ms.dimension == size > _EXACT_DIM_CAP
+        assert ms.dimension == size
         assert_exact_solution(ms, solve_closed_form_vector(ms))
 
     @pytest.mark.parametrize("exponents", [(0, 0, 0, 0, 2), (1, 0, 0, 0, 2)])
@@ -496,20 +536,27 @@ class TestTriangularPath:
             assert math.isclose(form.evaluate(t), value, rel_tol=1e-9)
 
     def test_cyclic_closure_above_the_cap_falls_back_to_float(self):
-        n = _EXACT_DIM_CAP + 1
+        n = 41
         matrix = [[-(i + 1) if i == j else 0 for j in range(n)] for i in range(n)]
-        matrix[0][1] = matrix[1][0] = F(1, 2)  # a 2x2 cycle
+        matrix[0][1] = matrix[1][0] = F(1, 2)  # a 2x2 cycle, eigenvalues (-3 +- sqrt(2))/2
         ms = synthetic_system(matrix, [1] * n)
-        with pytest.raises(ClosedFormUnsupported, match="cap"):
+        with pytest.raises(ClosedFormUnsupported, match="not rational"):
             solve_closed_form(ms)
         fm = FunctionalMoment(ms, (F(1),) + (F(0),) * (n - 1), F(0))
         form, kind, note = best_closed_form(fm)
         assert kind == "float-spectrum"
-        assert "cap" in note
+        assert "not rational" in note
         for t in (0.0, 0.5, 2.0):
             assert math.isclose(
                 form.evaluate(t), eval_numeric(ms, [t])[0, 0], rel_tol=1e-9, abs_tol=1e-12
             )
+        # The same size with a rational 2x2 cycle, eigenvalues 0 and -3, fed
+        # by a later index and feeding an earlier one, solves exactly.
+        matrix[0][1], matrix[1][0] = 1, 2
+        matrix[1][n - 1] = matrix[2][0] = 1
+        ms = synthetic_system(matrix, [1] * n, constants=[1] * n)
+        assert block_sizes(ms)[-1] == 2
+        assert_exact_solution(ms, solve_closed_form_vector(ms))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -528,10 +575,49 @@ class TestTriangularPath:
         constants = [data.draw(small) for _ in range(n)]
         m0 = [data.draw(small) for _ in range(n)]
         ms = synthetic_system(matrix, m0, constants=constants)
-        forms = _triangular_forms(ms)
-        assert forms is not None
-        assert forms == _dense_forms(ms)
-        assert_exact_solution(ms, forms)
+        assert_exact_solution(ms, solve_closed_form_vector(ms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_block_triangular_systems_solve_exactly(self, data):
+        # A cyclic block U conjugated by a unimodular integer matrix, where U
+        # is upper triangular with repeated diagonal entries (so Jordan
+        # structure occurs), between triangular indices that feed it and
+        # indices it feeds; then relabelled by a permutation.
+        k = data.draw(st.integers(min_value=2, max_value=4))
+        before = data.draw(st.integers(min_value=0, max_value=3))
+        after = data.draw(st.integers(min_value=0, max_value=3))
+        n = before + k + after
+        rates = st.sampled_from([F(-2), F(-1), F(-1, 2), F(0)])
+        small = st.integers(min_value=-2, max_value=2)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            matrix[i][i] = data.draw(rates)
+            for j in range(i + 1, n):
+                matrix[i][j] = data.draw(small)
+        block = range(before, before + k)
+        for i in block:
+            for j in block:
+                if j > i + 1:
+                    matrix[i][j] = 0
+        # conjugate by E = I + m e_i e_j^T: row i += m row j, then column
+        # j -= m column i, within the block
+        for _ in range(2 * k):
+            i, j = data.draw(st.permutations(list(block)))[:2]
+            m = data.draw(st.sampled_from([-2, -1, 1, 2]))
+            for c in block:
+                matrix[i][c] += m * matrix[j][c]
+            for r in block:
+                matrix[r][j] -= m * matrix[r][i]
+        perm = data.draw(st.permutations(range(n)))
+        relabelled = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                relabelled[perm[i]][perm[j]] = matrix[i][j]
+        constants = [data.draw(small) for _ in range(n)]
+        m0 = [data.draw(small) for _ in range(n)]
+        ms = synthetic_system(relabelled, m0, constants=constants)
+        assert_exact_solution(ms, solve_closed_form_vector(ms))
 
 
 class TestFloatPath:
