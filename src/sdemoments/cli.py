@@ -85,8 +85,8 @@ def _parse_times(text: str | None) -> tuple[float, ...]:
         raise _CliFailure("--times must list at least one time", EXIT_USAGE)
     if not all(math.isfinite(t) and t >= 0 for t in times):
         raise _CliFailure("--times must be finite and non-negative", EXIT_USAGE)
-    if list(times) != sorted(times):
-        raise _CliFailure("--times must be sorted ascending", EXIT_USAGE)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise _CliFailure("--times must be sorted ascending, each time once", EXIT_USAGE)
     return times
 
 

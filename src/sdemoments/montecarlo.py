@@ -1,11 +1,13 @@
 """Euler-Maruyama path simulation: the statistical oracle for exact moments.
 
 Reproducibility contract: estimates are bitwise identical for a fixed
-(seed, paths, dt, record_times) regardless of the worker count.  Each path
-owns a counter-based RNG substream keyed by (seed, path index); Gaussian
-increments come from the inverse normal CDF applied to that substream's
-uniforms; per-block partial sums are pairwise reductions and blocks are
-combined in fixed order with compensated summation.
+(seed, paths, dt, record_times) regardless of the worker count.  Paths are
+simulated in blocks whose boundaries depend on ``paths`` alone.  Each block
+owns one counter-based Philox substream keyed by (seed, first path of the
+block); its Gaussian increments are numpy's ziggurat normals drawn from that
+substream step by step, so the estimate at a time does not depend on any
+later record time.  Per-block partial sums are pairwise reductions and
+blocks are combined in fixed order with compensated summation.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import SdeModel
 from .poly import Monomial, Polynomial
@@ -74,30 +75,61 @@ class MomentEstimate:
     paths: int
 
 
-def _compile_poly(poly: Polynomial) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized evaluator over a (paths, n) state matrix."""
-    terms = [
-        (float(coeff), tuple(mono.exponents)) for mono, coeff in poly.sorted_terms()
-    ]
+@dataclass(frozen=True)
+class _Evaluator:
+    """Every monomial of the drift, the nonzero diffusion entries and the
+    functional, evaluated once per step into the rows of a (monomials, paths)
+    buffer.  Row 0 is the constant 1 and rows 1..n are the state itself; each
+    later row is an earlier row times one variable (``products``).  Then
+    ``coef @ rows`` gives the drift (first n rows) and the diffusion entries
+    ``noise`` (one row per nonzero (i, k)) in one product."""
 
-    def evaluate(state: np.ndarray) -> np.ndarray:
-        out = np.zeros(state.shape[0])
-        for coeff, exponents in terms:
-            acc = np.full(state.shape[0], coeff)
-            for var, e in enumerate(exponents):
-                if e == 1:
-                    acc *= state[:, var]
-                elif e:
-                    acc *= state[:, var] ** e
-            out += acc
-        return out
-
-    return evaluate
+    products: tuple[tuple[int, int, int], ...]  # (row, parent row, variable row)
+    coef: np.ndarray
+    noise: tuple[tuple[int, int], ...]
+    functional: np.ndarray
+    brownian_dim: int
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    key = ((seed & (2**64 - 1)) << 64) | path_index
-    return np.random.Generator(np.random.Philox(key=key))
+def _evaluator(model: SdeModel, functional: Polynomial) -> _Evaluator:
+    n = model.dimension
+    noise = tuple(
+        (i, k) for i in range(n) for k in range(model.brownian_dim)
+        if not model.diffusion[i][k].is_zero()
+    )
+    polys = [*model.drift, *(model.diffusion[i][k] for i, k in noise), functional]
+    # Close the monomials under dropping one power of their last variable.
+    parents: dict[Monomial, tuple[Monomial, int]] = {}
+    pending = [mono for poly in polys for mono in poly.terms]
+    while pending:
+        mono = pending.pop()
+        if mono.degree < 2 or mono in parents:
+            continue
+        var = max(v for v, e in enumerate(mono.exponents) if e)
+        parent = Monomial(tuple(e - (v == var) for v, e in enumerate(mono.exponents)))
+        parents[mono] = (parent, var)
+        pending.append(parent)
+    monos = [Monomial.constant(n), *(Monomial.unit(n, v) for v in range(n)), *sorted(parents)]
+    row = {mono: r for r, mono in enumerate(monos)}
+    coef = np.zeros((len(polys), len(monos)))
+    for p, poly in enumerate(polys):
+        for mono, c in poly.terms.items():
+            coef[p, row[mono]] = float(c)
+    return _Evaluator(
+        products=tuple(
+            (row[mono], row[parent], 1 + var) for mono, (parent, var) in sorted(parents.items())
+        ),
+        coef=coef[:-1],
+        noise=noise,
+        functional=coef[-1],
+        brownian_dim=model.brownian_dim,
+    )
+
+
+def _evaluate(ev: _Evaluator, rows: np.ndarray) -> None:
+    """Fill the monomial rows above the state from rows 0..n."""
+    for r, parent, var in ev.products:
+        np.multiply(rows[parent], rows[var], out=rows[r])
 
 
 def _record_steps(cfg: SimConfig) -> list[int]:
@@ -114,8 +146,7 @@ def _record_steps(cfg: SimConfig) -> list[int]:
 
 
 def _simulate_block(
-    model: SdeModel,
-    functional: Callable[[np.ndarray], np.ndarray],
+    ev: _Evaluator,
     cfg: SimConfig,
     start: np.ndarray,
     first_path: int,
@@ -124,68 +155,55 @@ def _simulate_block(
 ) -> list[tuple[float, float]]:
     """Simulate one contiguous block of paths; return (sum, sum of squares)
     of the functional at each record step, pairwise-reduced."""
-    n = model.dimension
-    m = model.brownian_dim
-    drift_fns = [_compile_poly(p) for p in model.drift]
-    diff_fns = [
-        [None if model.diffusion[i][k].is_zero() else _compile_poly(model.diffusion[i][k])
-         for k in range(m)]
-        for i in range(n)
-    ]
-    state = np.tile(start, (block_paths, 1))
-    rngs = [_path_rng(cfg.seed, first_path + p) for p in range(block_paths)]
-    sqrt_dt = math.sqrt(cfg.dt)
+    n = len(start)
+    rows = np.empty((ev.coef.shape[1], block_paths))
+    rows[0] = 1.0
+    rows[1 : n + 1] = start[:, None]
+    state = rows[1 : n + 1]
+    scale = np.array([cfg.dt] * n + [math.sqrt(cfg.dt)] * len(ev.noise))
+    coef = ev.coef * scale[:, None]
+    increment = np.empty((len(coef), block_paths))
+    key = ((cfg.seed & (2**64 - 1)) << 64) | first_path
+    rng = np.random.Generator(np.random.Philox(key=key))
     total_steps = record_steps[-1]
+    noise = np.empty((min(_STEP_CHUNK, total_steps), ev.brownian_dim, block_paths))
     record_set = {s: idx for idx, s in enumerate(record_steps)}
     sums: list[tuple[float, float]] = [None] * len(record_steps)  # type: ignore[list-item]
 
-    def record(idx: int) -> None:
-        values = functional(state)
-        sums[idx] = (
-            float(np.add.reduce(values)),
-            float(np.add.reduce(values * values)),
-        )
-
-    if 0 in record_set:
-        record(record_set[0])
-
     step = 0
-    noise = np.empty((block_paths, _STEP_CHUNK, m))
-    while step < total_steps:
-        chunk = min(_STEP_CHUNK, total_steps - step)
-        for p, rng in enumerate(rngs):
-            uniforms = rng.random((chunk, m))
-            noise[p, :chunk, :] = ndtri(uniforms + 2.0**-54)
-        for s in range(chunk):
-            drift = np.column_stack([fn(state) for fn in drift_fns])
-            increment = drift * cfg.dt
-            xi = noise[:, s, :]
-            for i in range(n):
-                row = diff_fns[i]
-                for k in range(m):
-                    if row[k] is not None:
-                        increment[:, i] += sqrt_dt * row[k](state) * xi[:, k]
-            state = state + increment
-            step += 1
-            worst = float(np.max(np.abs(state)))
-            # Written so that NaN, which compares false, also trips it.
-            if not worst <= _BLOWUP_LIMIT:
-                what = (
-                    f"exceeded {_BLOWUP_LIMIT:.0e}" if math.isfinite(worst) else "is non-finite"
-                )
-                raise BlowUpError(
-                    f"trajectory magnitude {worst:.3g} {what} "
-                    f"at t={step * cfg.dt:.6g} (path block starting at {first_path})"
-                )
-            if step in record_set:
-                record(record_set[step])
-    return sums
+    while True:
+        _evaluate(ev, rows)
+        if step in record_set:
+            values = ev.functional @ rows
+            sums[record_set[step]] = (
+                float(np.add.reduce(values)),
+                float(np.add.reduce(values * values)),
+            )
+        if step == total_steps:
+            return sums
+        s = step % _STEP_CHUNK
+        if s == 0:
+            rng.standard_normal(out=noise[: min(_STEP_CHUNK, total_steps - step)])
+        np.matmul(coef, rows, out=increment)
+        for e, (i, k) in enumerate(ev.noise, start=n):
+            np.multiply(increment[e], noise[s, k], out=increment[e])
+            increment[i] += increment[e]
+        state += increment[:n]
+        step += 1
+        worst = float(np.max(np.abs(state)))
+        # Written so that NaN, which compares false, also trips it.
+        if not worst <= _BLOWUP_LIMIT:
+            what = (
+                f"exceeded {_BLOWUP_LIMIT:.0e}" if math.isfinite(worst) else "is non-finite"
+            )
+            raise BlowUpError(
+                f"trajectory magnitude {worst:.3g} {what} "
+                f"at t={step * cfg.dt:.6g} (path block starting at {first_path})"
+            )
 
 
 def _functional_estimates(
-    model: SdeModel,
-    functional: Callable[[np.ndarray], np.ndarray],
-    cfg: SimConfig,
+    model: SdeModel, functional: Polynomial, cfg: SimConfig
 ) -> list[MomentEstimate]:
     if model.initial.kind != "point":
         raise SimulationError(
@@ -194,42 +212,24 @@ def _functional_estimates(
         )
     start = np.array([float(v) for v in model.initial.point])
     record_steps = _record_steps(cfg)
+    ev = _evaluator(model, functional)
 
-    blocks = []
-    first = 0
-    while first < cfg.paths:
-        count = min(_PATH_BLOCK, cfg.paths - first)
-        blocks.append((first, count))
-        first += count
+    blocks = [(first, min(_PATH_BLOCK, cfg.paths - first))
+              for first in range(0, cfg.paths, _PATH_BLOCK)]
 
     def run(block: tuple[int, int]) -> list[tuple[float, float]]:
-        return _simulate_block(
-            model, functional, cfg, start, block[0], block[1], record_steps
-        )
+        return _simulate_block(ev, cfg, start, block[0], block[1], record_steps)
 
-    if cfg.workers == 1:
-        results = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, blocks))
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        results = list(pool.map(run, blocks))
 
     estimates = []
     for idx, t in enumerate(cfg.record_times):
-        total = math.fsum(r[idx][0] for r in results)
+        mean = math.fsum(r[idx][0] for r in results) / cfg.paths
         total_sq = math.fsum(r[idx][1] for r in results)
-        mean = total / cfg.paths
-        if cfg.paths > 1:
-            variance = max(0.0, (total_sq - cfg.paths * mean * mean) / (cfg.paths - 1))
-        else:
-            variance = 0.0
-        estimates.append(
-            MomentEstimate(
-                time=t,
-                mean=mean,
-                std_error=math.sqrt(variance / cfg.paths),
-                paths=cfg.paths,
-            )
-        )
+        # One path gives total_sq == mean * mean exactly, hence variance 0.
+        variance = max(0.0, (total_sq - cfg.paths * mean * mean) / max(cfg.paths - 1, 1))
+        estimates.append(MomentEstimate(t, mean, math.sqrt(variance / cfg.paths), cfg.paths))
     return estimates
 
 
@@ -241,9 +241,7 @@ def simulate_moment(
         raise SimulationError(
             f"target {alpha} has dimension {alpha.dimension}, model has {model.dimension}"
         )
-    return _functional_estimates(
-        model, _compile_poly(Polynomial.monomial(alpha)), cfg
-    )
+    return _functional_estimates(model, Polynomial.monomial(alpha), cfg)
 
 
 def simulate_functional(
@@ -253,4 +251,4 @@ def simulate_functional(
     poly = Polynomial(model.dimension, dict(coeffs))
     if poly.is_zero():
         raise SimulationError("functional is identically zero")
-    return _functional_estimates(model, _compile_poly(poly), cfg)
+    return _functional_estimates(model, poly, cfg)

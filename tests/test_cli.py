@@ -629,6 +629,18 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "sorted ascending" in err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("moment", []), ("moment", ["--simulate"]), ("simulate", [])],
+        ids=["moment", "moment-simulate", "simulate"],
+    )
+    def test_repeated_times_rejected(self, capsys, command, flags):
+        code, _, err = run_cli(
+            capsys, command, OU_ENV, "--alpha", "0,2", "--times", "1,1", *flags
+        )
+        assert code == EXIT_USAGE
+        assert "each time once" in err
+
     @pytest.mark.parametrize("times", ["-1,0", "nan", "0,inf"])
     def test_negative_times_rejected(self, capsys, times):
         code, _, err = run_cli(

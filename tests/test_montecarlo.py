@@ -4,17 +4,22 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sdemoments.model import load_benchmark, load_model
+from sdemoments.model import InitialCondition, SdeModel, load_benchmark, load_model
 from sdemoments.montecarlo import (
     BlowUpError,
     SimConfig,
     SimulationError,
+    _evaluate,
+    _evaluator,
     simulate_functional,
     simulate_moment,
 )
-from sdemoments.poly import Monomial, parse_polynomial
+from sdemoments.poly import Monomial, Polynomial, parse_polynomial
 
 
 def scalar_model(drift, diffusion, x0="0", name="scalar"):
@@ -89,6 +94,103 @@ class TestSimConfig:
 
 
 # ---------------------------------------------------------------------------
+# Fused monomial evaluation against exact polynomial evaluation
+# ---------------------------------------------------------------------------
+
+COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+
+@st.composite
+def polynomial_cases(draw):
+    """A random polynomial model (powers up to 4, constant and zero diffusion
+    entries), a functional, and a few float points."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=3))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+
+    def poly():
+        return Polynomial(n, draw(st.dictionaries(exponents, COEFFS, max_size=4)))
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "constant", "poly"]))
+        if kind == "zero":
+            return Polynomial.zero(n)
+        return Polynomial.constant(n, draw(COEFFS)) if kind == "constant" else poly()
+
+    model = SdeModel(
+        name="random",
+        variables=tuple(f"x{i + 1}" for i in range(n)),
+        brownian_dim=m,
+        drift=tuple(poly() for _ in range(n)),
+        diffusion=tuple(tuple(entry() for _ in range(m)) for _ in range(n)),
+        initial=InitialCondition.from_point([Fraction(0)] * n),
+    )
+    # Kept away from zero far enough that no product underflows.
+    coords = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.01, max_value=2.0),
+        st.floats(min_value=-2.0, max_value=-0.01),
+    )
+    points = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=4))
+    return model, poly(), np.array(points).T
+
+
+def _pinned_case():
+    # x1^3 * x2 and x2^4 in the drift, a constant diffusion entry, and
+    # Brownian columns 1 and 3 that drive nothing.
+    model = load_model(
+        json.dumps(
+            {
+                "name": "pinned",
+                "variables": ["x1", "x2"],
+                "brownian_dim": 3,
+                "drift": ["x1^3*x2 - 2", "x2^4 + x1"],
+                "diffusion": [["0", "1/2", "0"], ["0", "x1^3 - x2", "0"]],
+                "initial": {"kind": "point", "values": ["0", "0"]},
+            }
+        )
+    )
+    functional = parse_polynomial("x1^2*x2^3 + 1", model.variables)
+    return model, functional, np.array([[1.5, -0.25, 2.0], [-1.75, 0.5, 1.0]])
+
+
+def _assert_matches(got, poly, points):
+    for value, point in zip(got, points.T):
+        exact = poly.eval([Fraction(x) for x in point])
+        # Relative to the sum of the absolute terms, as float rounding is.
+        magnitude = Polynomial(
+            poly.dimension, {mono: abs(c) for mono, c in poly.terms.items()}
+        ).eval([abs(Fraction(x)) for x in point])
+        assert abs(value - float(exact)) <= 1e-12 * float(magnitude)
+
+
+class TestFusedEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(polynomial_cases())
+    @example(_pinned_case())
+    def test_matches_exact_evaluation(self, case):
+        model, functional, points = case
+        n = model.dimension
+        ev = _evaluator(model, functional)
+        assert set(ev.noise) == {
+            (i, k)
+            for i in range(n)
+            for k in range(model.brownian_dim)
+            if not model.diffusion[i][k].is_zero()
+        }
+        rows = np.empty((ev.coef.shape[1], points.shape[1]))
+        rows[0] = 1.0
+        rows[1 : n + 1] = points
+        _evaluate(ev, rows)
+        got = ev.coef @ rows
+        for i in range(n):
+            _assert_matches(got[i], model.drift[i], points)
+        for e, (i, k) in enumerate(ev.noise, start=n):
+            _assert_matches(got[e], model.diffusion[i][k], points)
+        _assert_matches(ev.functional @ rows, functional, points)
+
+
+# ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
 
@@ -108,6 +210,37 @@ class TestDeterminism:
         for a, b, c in zip(one, two, eight):
             assert a.mean == b.mean == c.mean  # bitwise, not approx
             assert a.std_error == b.std_error == c.std_error
+
+    def test_bitwise_identical_across_workers_with_partial_block(self):
+        # Three blocks, the last one of 7 paths, on a model with five
+        # Brownian motions and cubic coefficients.
+        model = load_benchmark("gene")
+        runs = [
+            simulate_moment(
+                model,
+                Monomial((1, 0, 0, 0, 1)),
+                SimConfig(dt=0.05, paths=2 * 2048 + 7, seed=7,
+                          record_times=(0.5, 1.0), workers=workers),
+            )
+            for workers in (1, 3, 8)
+        ]
+        for a, b, c in zip(*runs):
+            assert a.mean == b.mean == c.mean
+            assert a.std_error == b.std_error == c.std_error
+
+    def test_estimate_does_not_depend_on_later_record_times(self):
+        # 900 steps cross the 512-step noise chunk; the first 300 do not.
+        model = load_benchmark("ou-env")
+        short, long = (
+            simulate_moment(
+                model,
+                Monomial((0, 2)),
+                SimConfig(dt=1e-3, paths=300, seed=21, record_times=times),
+            )[0]
+            for times in ((0.3,), (0.3, 0.9))
+        )
+        assert short.mean == long.mean
+        assert short.std_error == long.std_error
 
     def test_identical_repeat_runs(self):
         first = self.run(1)
