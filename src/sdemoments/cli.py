@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .closure import (
+    BudgetError,
     ClosureBudget,
     DivergenceReport,
     build_closure,
@@ -75,10 +76,10 @@ class _CliFailure(Exception):
 
 
 def _parse_times(text: str | None) -> tuple[float, ...]:
-    if not text:
+    if text is None:
         return tuple(i * 0.5 for i in range(21))  # 0, 0.5, ..., 10
     try:
-        times = tuple(float(part) for part in text.split(","))
+        times = tuple(float(part) for part in text.split(",")) if text.strip() else ()
     except ValueError:
         raise _CliFailure(f"--times expects comma-separated numbers, got {text!r}", EXIT_USAGE)
     if not times:
@@ -726,6 +727,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BlowUpError as exc:
         print(f"simulation blow-up: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -38,6 +38,10 @@ class ClosureBudget:
             raise ValueError("budget limits must be positive")
 
 
+class BudgetError(ValueError):
+    """The targets alone already exceed the closure budget."""
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     """Budget exhaustion evidence: which cap tripped and a growth witness."""
@@ -160,7 +164,7 @@ def build_closure_multi(
     if len(seeds) > budget.max_monomials or any(
         s.degree > budget.max_total_degree for s in seeds
     ):
-        raise ValueError("targets already exceed the closure budget")
+        raise BudgetError("targets already exceed the closure budget")
 
     gen = Generator(model)
     discovered: list[Monomial] = list(seeds)

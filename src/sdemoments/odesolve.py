@@ -16,10 +16,10 @@ so one matrix exponential covers both parts.  Three evaluation routes:
                         A's off-diagonal pattern at a time, after the
                         components they depend on.  A 1x1 component is one
                         exact variation of constants, its eigenvalue read off
-                        the diagonal; a larger one first takes a rational
-                        basis that makes it triangular, built from its own
-                        characteristic polynomial (rational roots, exact
-                        kernels of (A_BB - lambda)^j).
+                        the diagonal; a larger one removes one rational
+                        eigenvalue of its characteristic polynomial per
+                        step (one exact kernel vector, a rank-one update of
+                        the block, one scalar solve).
   * solve_closed_form_float
                       — numeric eigendecomposition for irrational spectra;
                         refuses clustered/repeated eigenvalues (Jordan
@@ -121,6 +121,7 @@ def expm(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 ExactMatrix = list[list[Fraction]]
+_ZERO = Fraction(0)
 
 
 def _augmented_float(ms: MomentSystem) -> np.ndarray:
@@ -193,17 +194,6 @@ def _mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return out
 
 
-def _mat_vec(a: ExactMatrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v)) if row[j]), Fraction(0)) for row in a]
-
-
-def _shift_diag(a: ExactMatrix, lam: Fraction) -> ExactMatrix:
-    out = [row[:] for row in a]
-    for i in range(len(out)):
-        out[i][i] -= lam
-    return out
-
-
 def characteristic_polynomial(matrix: ExactMatrix) -> list[Fraction]:
     """Monic characteristic polynomial det(lambda I - M), ascending
     coefficients (index = power of lambda), by the Faddeev-LeVerrier
@@ -248,16 +238,18 @@ def _deflate(coeffs_asc: Sequence[Fraction], root: Fraction) -> list[Fraction]:
 
 def _rational_candidates(hints: Sequence[complex]) -> list[Fraction]:
     """Rational guesses near the numeric spectrum, most negative last so the
-    extraction below peels candidates deterministically.  A rational root
-    of multiplicity k with Jordan structure comes out of the float solver
-    as a cluster of radius about eps^(1/k), possibly with no real member,
-    so the real part of every hint is tried; each guess is verified exactly."""
+    extraction below peels candidates deterministically.  A root of
+    multiplicity m comes out of a float solver as a cluster of radius about
+    eps^(1/m), possibly with no real member; it is a simple root of the
+    (m-1)-th derivative, though, so hints taken from the roots of the
+    polynomial and of each of its derivatives locate it to full precision.
+    The real part of every hint is tried; each guess is verified exactly."""
     found: set[Fraction] = {Fraction(0)}
     for h in hints:
-        r = float(h.real)
+        r = Fraction(float(h.real))
         found.add(Fraction(round(r)))
         for denominator in (1, 2, 3, 4, 6, 8, 12, 16, 100, 10**4, 10**6):
-            found.add(Fraction(r).limit_denominator(denominator))
+            found.add(r.limit_denominator(denominator))
     return sorted(found, reverse=True)
 
 
@@ -275,43 +267,37 @@ def extract_rational_roots(
     return roots, remaining
 
 
-def _rref(matrix: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
+def _is_squarefree(coeffs_asc: Sequence[Fraction]) -> bool:
+    """Whether gcd(p, p') is a constant, by Euclid's algorithm over Q."""
+    a, b = list(coeffs_asc), [d * c for d, c in enumerate(coeffs_asc)][1:]
+    while len(b) > 1:
+        while len(a) >= len(b):  # a <- a mod b
+            q = a[-1] / b[-1]
+            a = [x - q * y for x, y in zip(a, [_ZERO] * (len(a) - len(b)) + b)][:-1]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return bool(b)
+
+
+def _kernel_vector(a: ExactMatrix, lam: Fraction) -> tuple[int, list[Fraction]]:
+    """(f, v) with (a - lam) v = 0, v_f = 1 and v_l = 0 for l > f, where f
+    is the first free column of the row reduction; lam must be an
+    eigenvalue of a."""
+    m = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+    k = len(m)
+    for c in range(k):
+        pivot = next((i for i in range(c, k) if m[i][c]), None)
+        if pivot is None:
+            return c, [-m[i][c] for i in range(c)] + [Fraction(1)] + [_ZERO] * (k - c - 1)
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(k):
+            if i != c and m[i][c]:
                 factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def _nullspace(matrix: ExactMatrix) -> list[list[Fraction]]:
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    rref, pivots = _rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rref[r][f]
-        basis.append(vec)
-    return basis
+                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    raise ValueError(f"{lam} is not an eigenvalue")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +537,6 @@ class ClosedForm:
 
 
 Terms = dict[Fraction, list[Fraction]]  # lambda -> p(t) coefficients of p(t) e^{lambda t}
-_ZERO = Fraction(0)
 
 
 def _add_terms(acc: Terms, weight: Fraction, terms) -> None:
@@ -588,61 +573,65 @@ def _scalar_form(lam: Fraction, forcing: Terms, start: Fraction) -> ClosedForm:
     return ClosedForm.build(terms, "exact-rational")
 
 
-def _triangularizing_basis(a: ExactMatrix) -> ExactMatrix:
-    """Rational T with T^-1 a T upper triangular.  Its columns run through
-    the eigenvalues of a; for each eigenvalue lam, a basis of
-    ker (a - lam) is extended by ker (a - lam)^2, and so on up to the
-    multiplicity, so (a - lam) maps every column into the span of the
-    columns before it.  Raises ClosedFormUnsupported when the
-    characteristic polynomial keeps a factor with no rational root."""
-    hints = np.linalg.eigvals(np.array(a, dtype=float))
-    roots, remaining = extract_rational_roots(characteristic_polynomial(a), list(hints))
+def _rational_spectrum(a: ExactMatrix) -> list[Fraction]:
+    """The eigenvalues of a with multiplicity, descending.  Float hints: the
+    roots of the characteristic polynomial, and of its derivatives when it
+    has a repeated factor.  Raises ClosedFormUnsupported when a factor with
+    no rational root remains."""
+    coeffs = characteristic_polynomial(a)
+    poly = np.array([float(c) for c in reversed(coeffs)])
+    orders = range(1 if _is_squarefree(coeffs) else len(coeffs) - 1)
+    hints = [h for j in orders for h in np.roots(np.polyder(poly, j))]
+    roots, remaining = extract_rational_roots(coeffs, hints)
     if len(remaining) > 1:
         raise ClosedFormUnsupported(
             f"the spectrum is not rational: an SCC block of size {len(a)} leaves a "
             f"characteristic factor of degree {len(remaining) - 1} with no rational root",
             remaining_factor=tuple(remaining),
         )
-    columns: list[list[Fraction]] = []
-    for lam, mult in sorted(roots.items(), reverse=True):
-        shifted = _shift_diag(a, lam)
-        power, chain = shifted, []
-        while len(chain) < mult:
-            # The pivot columns of the reduced form keep the chain so far
-            # and add the kernel vectors independent of it.
-            candidates = chain + _nullspace(power)
-            _, pivots = _rref([list(row) for row in zip(*candidates)])
-            chain = [candidates[c] for c in pivots]
-            power = _mat_mul(power, shifted)
-        columns.extend(chain)
-    return [list(row) for row in zip(*columns)]
+    return [lam for lam, mult in sorted(roots.items(), reverse=True) for _ in range(mult)]
 
 
-def _block_forms(a: ExactMatrix, forcings: list[Terms], start: list[Fraction]) -> list[ClosedForm]:
-    """m' = a m + forcing(t), m(0) = start, for one SCC diagonal block.  A
-    1x1 block is one scalar solve.  Otherwise m = T y with T from
-    _triangularizing_basis, so y' = U y + T^-1 forcing with U = T^-1 a T
-    upper triangular, solved from the last row up."""
+def _block_forms(
+    a: ExactMatrix, forcings: list[Terms], start: list[Fraction], roots: list[Fraction] | None = None
+) -> list[ClosedForm]:
+    """m' = a m + forcing(t), m(0) = start, for one SCC diagonal block, one
+    eigenvalue lam at a time (deflation).  A 1x1 block is one scalar solve.
+    Otherwise take r in ker(a - lam) with r_p = 1 and write m_p = z,
+    m_i = y_i + r_i z (i != p).  The y_i do not involve z: they solve the
+    block a_il - r_i a_pl (i, l != p) with forcing f_i - r_i f_p from
+    m0_i - r_i m0_p, whose eigenvalues are the remaining roots.  Then
+    z' = lam z + sum_l a_pl y_l + f_p, z(0) = m0_p, is one scalar solve; at
+    resonance its degree rises, so Jordan structure needs no special case."""
     k = len(a)
     if k == 1:
         return [_scalar_form(a[0][0], forcings[0], start[0])]
-    t = _triangularizing_basis(a)
-    reduced, _ = _rref([row + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(t)])
-    t_inv = [row[k:] for row in reduced]
-    u = _mat_mul(t_inv, _mat_mul(a, t))
-    y0 = _mat_vec(t_inv, start)
-    empty = ClosedForm((), "exact-rational")
-    ys = [empty] * k
-    for i in reversed(range(k)):
-        forcing: Terms = {}
-        for weight, block_forcing in zip(t_inv[i], forcings):
-            if weight:
-                _add_terms(forcing, weight, block_forcing.items())
-        for l in range(i + 1, k):
-            if u[i][l]:
-                _add_terms(forcing, u[i][l], ys[l].terms)
-        ys[i] = _scalar_form(u[i][i], forcing, y0[i])
-    return [sum((y.scale(weight) for weight, y in zip(row, ys)), empty) for row in t]
+    if roots is None:
+        roots = _rational_spectrum(a)
+    lam = roots[0]
+    p, r = _kernel_vector(a, lam)
+    rest = [i for i in range(k) if i != p]
+    sub_forcings: list[Terms] = []
+    for i in rest:
+        forcing = forcings[i]
+        if r[i] and forcings[p]:
+            forcing = {mu: list(coeffs) for mu, coeffs in forcing.items()}
+            _add_terms(forcing, -r[i], forcings[p].items())
+        sub_forcings.append(forcing)
+    ys = _block_forms(
+        [[a[i][l] - r[i] * a[p][l] for l in rest] for i in rest],
+        sub_forcings,
+        [start[i] - r[i] * start[p] for i in rest],
+        roots[1:],
+    )
+    forcing = {mu: list(coeffs) for mu, coeffs in forcings[p].items()}
+    for l, y in zip(rest, ys):
+        if a[p][l]:
+            _add_terms(forcing, a[p][l], y.terms)
+    z = _scalar_form(lam, forcing, start[p])
+    forms = [y + z.scale(r[i]) for i, y in zip(rest, ys)]
+    forms.insert(p, z)
+    return forms
 
 
 def solve_closed_form_vector(ms: MomentSystem) -> list[ClosedForm]:
@@ -676,8 +665,9 @@ def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
 
     The indices are solved one strongly connected component of A's
     off-diagonal pattern at a time, at any dimension: a 1x1 block by exact
-    variation of constants, a larger block after a rational change of basis
-    built from its own characteristic polynomial makes it triangular.
+    variation of constants, a larger block by removing the rational roots
+    of its characteristic polynomial one at a time, each step a kernel
+    vector, a rank-one update of the block and one scalar solve.
     Raises ClosedFormUnsupported, carrying the remaining characteristic
     factor, when a block's spectrum is not rational; the float-spectrum
     path is the fallback."""

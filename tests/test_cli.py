@@ -641,6 +641,32 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "each time once" in err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("moment", []), ("simulate", []), ("verify", ["--upper", "1"])],
+        ids=["moment", "simulate", "verify"],
+    )
+    def test_empty_times_rejected(self, capsys, command, flags):
+        # An empty --times is not the default grid.
+        code, _, err = run_cli(capsys, command, OU_ENV, "--alpha", "0,2", "--times=", *flags)
+        assert code == EXIT_USAGE
+        assert "--times must list at least one time" in err
+
+    @pytest.mark.parametrize(
+        "command, target, budget",
+        [
+            ("closure", ["--alpha", "0,3"], ["--budget-degree", "2"]),
+            ("moment", ["--alpha", "0,3"], ["--budget-degree", "2"]),
+            ("moment", ["--functional", "x1^2 + x1*x2 + x2^2"], ["--budget-monomials", "2"]),
+        ],
+        ids=["closure-degree", "moment-degree", "moment-functional-monomials"],
+    )
+    def test_targets_over_budget_rejected(self, capsys, command, target, budget):
+        code, out, err = run_cli(capsys, command, OU_ENV, *target, *budget)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: targets already exceed the closure budget")
+        assert out == ""
+
     @pytest.mark.parametrize("times", ["-1,0", "nan", "0,inf"])
     def test_negative_times_rejected(self, capsys, times):
         code, _, err = run_cli(

@@ -1,6 +1,7 @@
 """Linear ODE solving: matrix exponential, exact/float spectra, closed forms."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -561,6 +562,41 @@ class TestTriangularPath:
         ms = synthetic_system(matrix, [1] * n, constants=[1] * n)
         assert block_sizes(ms)[-1] == 2
         assert_exact_solution(ms, solve_closed_form_vector(ms))
+
+    def test_repeated_rational_root_in_one_jordan_chain(self):
+        # Characteristic polynomial (x + 3/17)^5, one Jordan chain.  The
+        # block's float eigenvalues scatter by about 1.7e-3, so hints taken
+        # from them missed -3/17 and the spectrum was reported irrational.
+        matrix = [
+            [F(14, 17), -3, -4, 1, 1],
+            [2, F(-20, 17), -2, 0, 1],
+            [0, 0, F(-3, 17), -1, 0],
+            [3, -3, -5, F(-20, 17), 2],
+            [3, 1, 0, -4, F(14, 17)],
+        ]
+        ms = synthetic_system(matrix, [1] * 5)
+        forms = solve_closed_form_vector(ms)
+        assert str(forms[0]) == "(1 - 4*t - 3/2*t^2)*exp(-3/17*t)"
+        assert_exact_solution(ms, forms)
+
+    @pytest.mark.parametrize("k", range(4, 10))
+    def test_conjugated_jordan_blocks_solve_exactly(self, k):
+        # J_k(-5/19) conjugated by unimodular integer matrices: a rational
+        # root of multiplicity k behind one Jordan chain.
+        rng = random.Random(k)
+        matrix = [[F(-5, 19) if i == j else F(int(j == i + 1)) for j in range(k)] for i in range(k)]
+        for _ in range(2 * k):
+            i, j = rng.sample(range(k), 2)
+            w = rng.choice([-1, 1])
+            for c in range(k):
+                matrix[i][c] += w * matrix[j][c]
+            for r in range(k):
+                matrix[r][j] -= w * matrix[r][i]
+        ms = synthetic_system(matrix, range(k), constants=[1] * k)
+        assert block_sizes(ms) == [k]
+        forms = solve_closed_form_vector(ms)
+        assert {lam for form in forms for lam, _ in form.terms} <= {F(0), F(-5, 19)}
+        assert_exact_solution(ms, forms)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
