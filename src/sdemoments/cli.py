@@ -305,9 +305,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
         print(result.describe(), file=sys.stderr)
         return EXIT_DIVERGENCE
     if args.json:
-        doc = result.to_json_dict()
-        doc["build_seconds"] = round(elapsed, 6)
-        print(json.dumps(doc, indent=2))
+        result.to_json(sys.stdout, build_seconds=round(elapsed, 6))
         return EXIT_OK
     print(f"model: {model.name}")
     print(f"target: m{alpha}")

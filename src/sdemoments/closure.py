@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .generator import Generator, GeneratorImage
 from .model import SdeModel, initial_moment
@@ -105,6 +105,9 @@ class MomentSystem:
             raise KeyError(f"monomial {mono} is not in the closure") from None
 
     def to_json_dict(self) -> dict:
+        """The system as a JSON document with the dense n x n matrix of
+        coefficient strings.  It builds all n^2 cells, so the CLI does not
+        use it: `to_json` writes the same bytes row by row."""
         return {
             "model": self.model_name,
             "indices": [list(m.exponents) for m in self.indices],
@@ -113,8 +116,34 @@ class MomentSystem:
             "initial": [str(v) for v in self.m0],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+    def to_json(self, out: TextIO, **extra) -> None:
+        """Write json.dumps({**self.to_json_dict(), **extra}, indent=2) and a
+        newline to `out`, byte for byte, one matrix row at a time; this is
+        what `closure --json` prints.  `extra` keys follow "initial".  A row
+        is one join over n copies of '"0"' with its nonzeros written in, so
+        the dense cells never exist all at once; the head and the tail keep
+        json.dumps for the model name's escaping and float formatting."""
+        head = json.dumps(
+            {"model": self.model_name, "indices": [list(m.exponents) for m in self.indices]},
+            indent=2,
+        )
+        tail = json.dumps(
+            {
+                "constant": [str(v) for v in self.vector_c],
+                "initial": [str(v) for v in self.m0],
+                **extra,
+            },
+            indent=2,
+        )
+        out.write(head[:-2] + ',\n  "matrix": [')
+        sep = "\n"
+        for row in self.rows:
+            cells = ['"0"'] * self.dimension
+            for col, coeff in row:
+                cells[col] = f'"{coeff}"'
+            out.write(sep + "    [\n      " + ",\n      ".join(cells) + "\n    ]")
+            sep = ",\n"
+        out.write("\n  ]," + tail[1:] + "\n")
 
 
 def _witness_chain(

@@ -215,13 +215,6 @@ def characteristic_polynomial(matrix: ExactMatrix) -> list[Fraction]:
     return list(reversed(coeffs_desc))
 
 
-def _poly_eval(coeffs_asc: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs_asc):
-        acc = acc * x + c
-    return acc
-
-
 def _deflate(coeffs_asc: Sequence[Fraction], root: Fraction) -> list[Fraction]:
     """Exact synthetic division by (lambda - root); the remainder must vanish."""
     desc = list(reversed(coeffs_asc))
@@ -259,12 +252,31 @@ def extract_rational_roots(
     """All rational roots (with multiplicity, found via numeric localization
     and verified exactly) and the remaining monic factor after deflation."""
     remaining = list(coeffs_asc)
+    integral = _integral(remaining)
     roots: dict[Fraction, int] = {}
     for cand in _rational_candidates(hints):
-        while len(remaining) > 1 and _poly_eval(remaining, cand) == 0:
+        while len(remaining) > 1 and _vanishes_at(integral, cand):
             remaining = _deflate(remaining, cand)
+            integral = _integral(remaining)
             roots[cand] = roots.get(cand, 0) + 1
     return roots, remaining
+
+
+def _integral(coeffs_asc: Sequence[Fraction]) -> list[int]:
+    """L times the polynomial, L the common denominator: the same roots,
+    integer coefficients."""
+    lcm = math.lcm(*(c.denominator for c in coeffs_asc))
+    return [c.numerator * (lcm // c.denominator) for c in coeffs_asc]
+
+
+def _vanishes_at(integral: Sequence[int], x: Fraction) -> bool:
+    """Whether q^d f(p/q) = sum f_i p^i q^(d-i) is zero, x = p/q, in integers."""
+    p, q = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(integral):
+        acc = acc * p + c * scale
+        scale *= q
+    return acc == 0
 
 
 def _is_squarefree(coeffs_asc: Sequence[Fraction]) -> bool:

@@ -26,6 +26,9 @@ from sdemoments.cli import (
     EXIT_VERIFY_MISMATCH,
     main,
 )
+from sdemoments.closure import MomentSystem, build_closure
+from sdemoments.model import load_model_file
+from sdemoments.poly import Monomial
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -147,6 +150,55 @@ class TestClosure:
         assert len(doc["matrix"]) == 8
         assert len(doc["constant"]) == 8
         assert doc["build_seconds"] >= 0
+
+    @staticmethod
+    def _assert_reference_bytes(capsys, path, exponents):
+        code, out, _ = run_cli(
+            capsys, "closure", path, "--alpha", ",".join(map(str, exponents)), "--json"
+        )
+        assert code == EXIT_OK
+        ms = build_closure(load_model_file(path), Monomial(exponents))
+        seconds = json.loads(out)["build_seconds"]
+        reference = {**ms.to_json_dict(), "build_seconds": seconds}
+        assert out == json.dumps(reference, indent=2) + "\n"
+        return ms
+
+    @pytest.mark.parametrize(
+        "name, exponents", [(name, exps) for name, exps, _, _ in cli._TABLE1]
+    )
+    def test_json_bytes_match_the_dense_document(self, capsys, name, exponents):
+        path = str(BENCHMARKS / f"{name}.json")
+        self._assert_reference_bytes(capsys, path, exponents)
+
+    def test_json_bytes_of_a_one_index_closure(self, capsys):
+        ms = self._assert_reference_bytes(capsys, OU_ENV, (1, 0))
+        assert ms.dimension == 1
+
+    def test_json_bytes_escape_the_model_name(self, capsys, tmp_path):
+        name = 'M\u00fcller "OU" \\ x'
+        doc = {
+            "name": name,
+            "variables": ["x1"],
+            "brownian_dim": 1,
+            "drift": ["-x1"],
+            "diffusion": [["1"]],
+            "initial": {"kind": "point", "values": ["1"]},
+        }
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc))
+        ms = self._assert_reference_bytes(capsys, str(path), (2,))
+        assert ms.model_name == name
+
+    def test_json_never_builds_the_dense_cells(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense cells built")
+
+        monkeypatch.setattr(MomentSystem, "_dense", refuse)
+        code, out, _ = run_cli(capsys, "closure", OU_ENV, "--alpha", "0,10", "--json")
+        assert code == EXIT_OK
+        matrix = json.loads(out)["matrix"]
+        assert len(matrix) == 120
+        assert all(len(row) == 120 for row in matrix)
 
     def test_alpha_is_required(self, capsys):
         code, _, err = run_cli(capsys, "closure", OU_ENV)
