@@ -12,7 +12,8 @@ verify    check bounds / tail estimates of a moment on a time grid
 
 Exit codes (stable contract): 0 success, 1 structural check failed,
 2 closure divergence or simulation blow-up, 3 model error,
-4 verification mismatch, 64 usage error.
+4 verification mismatch, 64 usage error, 141 (128 + SIGPIPE) when the
+reader of standard output closes it early, as in `sdemoments table1 | head`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -56,6 +58,7 @@ EXIT_DIVERGENCE = 2
 EXIT_MODEL_ERROR = 3
 EXIT_VERIFY_MISMATCH = 4
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -743,7 +746,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # interpreter's last flush of the buffered rest cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -163,6 +163,11 @@ def _witness_chain(
     return tuple(chain[start:])
 
 
+def _graded_lex(mono: Monomial) -> tuple[int, tuple[int, ...]]:
+    """Sort key of Monomial.__lt__, without its per-comparison checks."""
+    return sum(mono.exponents), mono.exponents
+
+
 def build_closure_multi(
     model: SdeModel,
     alphas: Sequence[Monomial],
@@ -208,7 +213,7 @@ def build_closure_multi(
         image = gen.apply(beta)
         images[beta] = image
         # New monomials enter in descending graded-lex order within one image.
-        for gamma in sorted(image.linear_part, reverse=True):
+        for gamma in sorted(image.linear_part, key=_graded_lex, reverse=True):
             if gamma in member:
                 continue
             if gamma.degree > budget.max_total_degree:

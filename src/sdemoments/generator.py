@@ -8,12 +8,24 @@ Applied to a monomial x^beta the result is again a polynomial; splitting off
 the constant term gives the row of the moment ODE system:
 
     d/dt E[X^beta] = sum_gamma a_{beta gamma} E[X^gamma] + c_beta.
+
+The action on x^beta depends on beta only through integer factors, so each
+model is compiled once into a table of actions, one per polynomial term:
+
+    drift term c x^gamma of b_i                 c beta_i                 at beta - e_i + gamma
+    term d x^gamma of (sigma sigma^T)_ii        d beta_i (beta_i - 1)/2  at beta - 2 e_i + gamma
+    term d x^gamma of (sigma sigma^T)_ij, i<j   d beta_i beta_j          at beta - e_i - e_j + gamma
+
+(the i<j entry counts twice because sigma sigma^T is symmetric).  Every
+coefficient is kept as an integer over one common denominator per model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -51,38 +63,57 @@ def diffusion_product(model: SdeModel) -> tuple[tuple[Polynomial, ...], ...]:
 
 
 class Generator:
-    """Caches sigma sigma^T so repeated applications on one model stay cheap."""
+    """The generator of one model, compiled into an integer action table.
+
+    Each action is (i, j, terms): the factor beta_i for a drift action
+    (j = -1), beta_i (beta_i - 1)/2 for a diagonal diffusion action (j = i)
+    and beta_i beta_j for an off-diagonal one (i < j); `terms` lists
+    (shift, k) pairs, each adding factor * k / denominator at beta + shift.
+    A nonzero factor keeps beta + shift non-negative.
+    """
 
     def __init__(self, model: SdeModel):
         self.model = model
-        self._ssT = diffusion_product(model)
-        self._half = Fraction(1, 2)
+        n = model.dimension
+        ssT = diffusion_product(model)
+        # (i, j, polynomial, the variables it differentiates)
+        groups = [(i, -1, model.drift[i], (i,)) for i in range(n)]
+        groups += [(i, j, ssT[i][j], (i, j)) for i in range(n) for j in range(i, n)]
+        groups = [g for g in groups if not g[2].is_zero()]
+        self._denominator = lcm(*(c.denominator for g in groups for c in g[2].terms.values()))
+        actions = []
+        for i, j, p, lowered in groups:
+            terms = []
+            for gamma, c in p.terms.items():
+                shift = list(gamma.exponents)
+                for v in lowered:
+                    shift[v] -= 1
+                terms.append((tuple(shift), c.numerator * (self._denominator // c.denominator)))
+            actions.append((i, j, tuple(terms)))
+        self._actions = tuple(actions)
 
     def apply(self, beta: Monomial) -> GeneratorImage:
-        model = self.model
-        n = model.dimension
+        n = self.model.dimension
         if beta.dimension != n:
             raise ValueError(f"monomial {beta} has dimension {beta.dimension}, model has {n}")
-        f = Polynomial.monomial(beta)
-        image = Polynomial.zero(n)
-        firsts = [f.partial(i) for i in range(n)]
-        for i in range(n):
-            if not firsts[i].is_zero():
-                image = image + model.drift[i] * firsts[i]
-        # Full ordered double sum, relying on symmetry of sigma sigma^T.
-        for i in range(n):
-            if firsts[i].is_zero():
-                continue
-            for j in range(n):
-                second = firsts[i].partial(j)
-                if second.is_zero():
-                    continue
-                entry = self._ssT[i][j]
-                if not entry.is_zero():
-                    image = image + self._half * (entry * second)
-        constant = image.constant_term()
+        e = beta.exponents
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for i, j, terms in self._actions:
+            if j < 0:
+                factor = e[i]
+            elif i == j:
+                factor = e[i] * (e[i] - 1) // 2
+            else:
+                factor = e[i] * e[j]
+            if factor:
+                for shift, k in terms:
+                    key = tuple(map(add, e, shift))
+                    acc[key] = get(key, 0) + factor * k
+        denominator = self._denominator
+        constant = Fraction(acc.pop((0,) * n, 0), denominator)
         linear = {
-            mono: coeff for mono, coeff in image.terms.items() if mono.degree > 0
+            Monomial._trusted(key): Fraction(v, denominator) for key, v in acc.items() if v
         }
         return GeneratorImage(linear_part=MappingProxyType(linear), constant=constant)
 

@@ -276,7 +276,12 @@ def initial_moment(initial: InitialCondition, index: Monomial) -> Fraction:
             raise ModelError(
                 f"index {index} has dimension {index.dimension}, expected {len(initial.point)}"
             )
-        return Polynomial.monomial(index).eval(initial.point)
+        num = den = 1
+        for x, e in zip(initial.point, index.exponents):
+            if e:
+                num *= x.numerator**e
+                den *= x.denominator**e
+        return Fraction(num, den)
     value = initial.table.get(index)
     if value is None:
         raise MissingMomentError(index)

@@ -68,6 +68,13 @@ class Monomial:
     def __iter__(self) -> Iterator[int]:
         return iter(self.exponents)
 
+    @classmethod
+    def _trusted(cls, exponents: tuple[int, ...]) -> "Monomial":
+        # Internal fast path: `exponents` is already a tuple of non-negative ints.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "exponents", exponents)
+        return obj
+
     @staticmethod
     def constant(dimension: int) -> "Monomial":
         return Monomial((0,) * dimension)

@@ -18,6 +18,7 @@ import pytest
 import sdemoments.cli as cli
 import sdemoments.odesolve as odesolve
 from sdemoments.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
     EXIT_DIVERGENCE,
     EXIT_MODEL_ERROR,
@@ -761,3 +762,21 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert "prosolvable: yes" in proc.stdout
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_leaves_no_traceback(self):
+        # --rows prints about 160 kB here, more than a pipe holds, so the
+        # writer is still printing when the reader closes its end.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sdemoments", "closure", OU_ENV, "--alpha", "3,40", "--rows"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "model: ou-env\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert "Traceback" not in err

@@ -1,10 +1,14 @@
 """Closure construction: golden systems, sizes, order invariance, divergence."""
 
+import importlib.util
+import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from sdemoments.cli import main
 from sdemoments.closure import (
     ClosureBudget,
     DivergenceReport,
@@ -15,7 +19,8 @@ from sdemoments.closure import (
     system_rows,
 )
 from sdemoments.model import load_benchmark
-from sdemoments.poly import Monomial
+from sdemoments.odesolve import linear_functional_moment
+from sdemoments.poly import Monomial, parse_polynomial
 
 
 def F(v) -> Fraction:
@@ -305,3 +310,53 @@ class TestSerialization:
         assert ms.index_of(Monomial((0, 2))) == 0
         with pytest.raises(KeyError):
             ms.index_of(Monomial((9, 9)))
+
+
+# ---------------------------------------------------------------------------
+# Closures against the benchmark's target pool and a checked-in export
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _load_targets_module():
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_targets", REPO / "perfbench" / "targets.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pool_closures_are_unchanged():
+    """Every pool entry up to dim 150 rebuilds with its recorded dim, number
+    of nonzeros and index-set digest, built the way the pool was."""
+    targets = _load_targets_module()
+    models = {}
+    checked = 0
+    for entry in targets.load_pool():
+        if entry["dim"] > 150:
+            continue
+        name = entry["model"]
+        model = models.get(name) or models.setdefault(name, load_benchmark(name))
+        if "alpha" in entry:
+            coeffs = {Monomial(tuple(entry["alpha"])): Fraction(1)}
+        else:
+            coeffs = dict(parse_polynomial(entry["functional"], model.variables).terms)
+        ms = linear_functional_moment(model, coeffs).system
+        digest = targets.closure_digest(m.exponents for m in ms.indices)
+        got = (ms.dimension, sum(map(len, ms.rows)), digest)
+        assert got == (entry["dim"], entry["nnz"], entry["closure"]), entry
+        checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("flag, suffix", [("--json", "json"), ("--rows", "rows")])
+def test_gene_export_matches_checked_in_bytes(capsys, flag, suffix):
+    code = main(["closure", str(REPO / "benchmarks" / "gene.json"), "--alpha", "0,0,0,0,2", flag])
+    out = capsys.readouterr().out
+    assert code == 0
+    out = re.sub(r'"build_seconds": [0-9.e-]+', '"build_seconds": "masked"', out)
+    out = re.sub(r"(?m)^build time: [0-9.]+ s$", "build time: masked", out)
+    assert out == (DATA / f"closure_gene_0_0_0_0_2.{suffix}").read_text()

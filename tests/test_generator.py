@@ -1,11 +1,12 @@
 """Generator action on monomials, cross-checked against a sympy oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sdemoments.generator import (
@@ -14,7 +15,7 @@ from sdemoments.generator import (
     apply_generator,
     diffusion_product,
 )
-from sdemoments.model import benchmark_names, load_benchmark
+from sdemoments.model import InitialCondition, SdeModel, benchmark_names, load_benchmark
 from sdemoments.poly import Monomial, Polynomial
 
 
@@ -86,6 +87,79 @@ def test_generator_matches_sympy_oracle(name):
         got = image_to_sympy(gen.apply(beta), model)
         want = oracle_generator(model, beta)
         assert sympy.expand(got - want) == 0, f"{name}: A x^{beta}"
+
+
+# ---------------------------------------------------------------------------
+# Generated models: n = 1-3 variables, brownian_dim != n, a sigma whose
+# sigma sigma^T has nonzero off-diagonal entries, and coefficients over mixed
+# denominators, so every kind of action in the compiled table is exercised.
+# ---------------------------------------------------------------------------
+
+coefficients = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 7])
+)
+
+
+@st.composite
+def polynomial_models(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3).filter(lambda m: m != n))
+
+    def poly(max_degree, max_terms):
+        exponents = st.tuples(*[st.integers(0, max_degree)] * n)
+        terms = draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=max_terms))
+        return Polynomial(n, terms)
+
+    drift = tuple(poly(2, 3) for _ in range(n))
+    diffusion = tuple(tuple(poly(1, 2) for _ in range(m)) for _ in range(n))
+    model = SdeModel(
+        name="generated",
+        variables=tuple(f"x{i + 1}" for i in range(n)),
+        brownian_dim=m,
+        drift=drift,
+        diffusion=diffusion,
+        initial=InitialCondition.from_point((Fraction(0),) * n),
+    )
+    ssT = diffusion_product(model)
+    assume(n == 1 or any(not ssT[i][j].is_zero() for i in range(n) for j in range(i + 1, n)))
+    return model
+
+
+def assert_matches_oracle(model, beta):
+    got = image_to_sympy(Generator(model).apply(beta), model)
+    assert sympy.expand(got - oracle_generator(model, beta)) == 0, f"A x^{beta}"
+
+
+class TestGeneratedModels:
+    @settings(max_examples=40, deadline=None)
+    @given(polynomial_models(), st.data())
+    def test_matches_sympy_oracle(self, model, data):
+        exps = data.draw(st.tuples(*[st.integers(0, 4)] * model.dimension))
+        assert_matches_oracle(model, Monomial(exps))
+
+    @settings(max_examples=20, deadline=None)
+    @given(polynomial_models())
+    def test_zero_one_exponents(self, model):
+        # beta_i in {0, 1}: the i = j action's factor beta_i (beta_i - 1)/2 is
+        # 0, so a model with diagonal noise alone maps x^beta to 0.
+        n = model.dimension
+        diagonal = tuple(
+            tuple(model.diffusion[i][0] if i == k else Polynomial.zero(n) for k in range(n))
+            for i in range(n)
+        )
+        noise_only = SdeModel(
+            name="diagonal",
+            variables=model.variables,
+            brownian_dim=n,
+            drift=(Polynomial.zero(n),) * n,
+            diffusion=diagonal,
+            initial=model.initial,
+        )
+        gen = Generator(noise_only)
+        for exps in itertools.product((0, 1), repeat=n):
+            assert_matches_oracle(model, Monomial(exps))
+            image = gen.apply(Monomial(exps))
+            assert not image.linear_part and image.constant == 0
 
 
 # ---------------------------------------------------------------------------
