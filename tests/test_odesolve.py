@@ -1,8 +1,10 @@
 """Linear ODE solving: matrix exponential, exact/float spectra, closed forms."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,6 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sdemoments.cli as cli
 import sdemoments.odesolve as odesolve
 from sdemoments.closure import MomentSystem, build_closure
 from sdemoments.model import load_benchmark
@@ -658,6 +661,83 @@ class TestTriangularPath:
         m0 = [data.draw(small) for _ in range(n)]
         ms = synthetic_system(relabelled, m0, constants=constants)
         assert_exact_solution(ms, solve_closed_form_vector(ms))
+
+
+# ---------------------------------------------------------------------------
+# Golden printed forms
+# ---------------------------------------------------------------------------
+
+EXACT_FORMS = Path(__file__).parent / "data" / "exact_forms.json"
+
+# Synthetic systems that reach every branch of the exact solver:
+# (matrix, m0, constants).
+GOLDEN_SYNTHETIC = {
+    "resonance": ([[-1, 0], [1, -1]], [1, 0], None),
+    "jordan chain": (
+        [
+            [F(14, 17), -3, -4, 1, 1],
+            [2, F(-20, 17), -2, 0, 1],
+            [0, 0, F(-3, 17), -1, 0],
+            [3, -3, -5, F(-20, 17), 2],
+            [3, 1, 0, -4, F(14, 17)],
+        ],
+        [1] * 5,
+        None,
+    ),
+    "rational 2x2 cycle": ([[-1, 1, 0], [2, -2, 1], [0, 0, F(-1, 2)]], [1, 2, 3], [1, 0, 1]),
+    "hard denominators": (
+        [
+            [F(-3, 999983), F(5, 999979), 0, F(1, 7)],
+            [0, F(-3, 999983), F(-2, 1000003), 0],
+            [0, 0, F(7, 1000003), F(11, 999961)],
+            [0, 0, 0, F(-1, 2)],
+        ],
+        [F(1, 999999), 2, F(-5, 3), 0],
+        [F(1, 3), 0, F(2, 999983), 1],
+    ),
+}
+GOLDEN_TABLE1 = {
+    f"{name} {Monomial(exponents)}": (name, exponents)
+    for name, exponents, _, _ in cli._TABLE1
+    if name not in ("consensus", "oscillator", "coupled3d")
+}
+GOLDEN_FUNCTIONAL = {"vehicles (p1 - p2)^2": ("vehicles", "(p1 - p2)^2")}
+GOLDEN_CASES = [*GOLDEN_TABLE1, *GOLDEN_FUNCTIONAL, *GOLDEN_SYNTHETIC]
+
+
+def golden_moment(case):
+    """The FunctionalMoment of one golden case: a Table 1 target is
+    component 0 of its closure, and a synthetic case weighs every component
+    by 1."""
+    if case in GOLDEN_FUNCTIONAL:
+        name, text = GOLDEN_FUNCTIONAL[case]
+        model = load_benchmark(name)
+        return linear_functional_moment(model, functional_terms(model, text))
+    if case in GOLDEN_TABLE1:
+        name, exponents = GOLDEN_TABLE1[case]
+        ms = build_closure(load_benchmark(name), Monomial(exponents))
+    else:
+        matrix, m0, constants = GOLDEN_SYNTHETIC[case]
+        ms = synthetic_system(matrix, m0, constants=constants)
+        return FunctionalMoment(ms, (F(1),) * ms.dimension, F(0))
+    return FunctionalMoment(ms, (F(1),) + (F(0),) * (ms.dimension - 1), F(0))
+
+
+class TestGoldenForms:
+    """The printed forms of the exact Table 1 rows, a functional and the
+    synthetic systems above stay byte for byte as recorded."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads(EXACT_FORMS.read_text())
+
+    def test_every_case_is_recorded(self, recorded):
+        assert list(recorded) == GOLDEN_CASES
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES)
+    def test_form_bytes_unchanged(self, recorded, case):
+        form, kind, _ = best_closed_form(golden_moment(case))
+        assert {"kind": kind, "form": str(form)} == recorded[case]
 
 
 class TestFloatPath:
