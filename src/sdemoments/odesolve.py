@@ -10,16 +10,16 @@ so one matrix exponential covers both parts.  Three evaluation routes:
                         available.  The state is carried forward between
                         sorted times: one expm (scaling-and-squaring,
                         Pade 13) per distinct gap, then a matrix-vector step.
-  * solve_closed_form — exact symbolic solution, terms p(t) * exp(lambda t)
-                        with Fraction data, at any dimension.  The moments
-                        are solved one strongly connected component (SCC) of
-                        A's off-diagonal pattern at a time, after the
-                        components they depend on.  A 1x1 component is one
-                        exact variation of constants, its eigenvalue read off
-                        the diagonal; a larger one removes one rational
-                        eigenvalue of its characteristic polynomial per
-                        step (one exact kernel vector, a rank-one update of
-                        the block, one scalar solve).
+  * solve_closed_form — exact solution, terms p(t) * exp(lambda t), at any
+                        dimension, built fraction-free (int numerators over
+                        one int denominator per term; Fractions only in the
+                        result).  The moments are solved one strongly
+                        connected component (SCC) of A's off-diagonal
+                        pattern at a time, after the components they depend
+                        on: a 1x1 component by exact variation of constants,
+                        a larger one by removing one rational eigenvalue of
+                        its characteristic polynomial per step (kernel
+                        vector, rank-one update, one scalar solve).
   * solve_closed_form_float
                       — numeric eigendecomposition for irrational spectra;
                         refuses clustered/repeated eigenvalues (Jordan
@@ -176,43 +176,22 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    k = len(a)
-    cols = len(b[0])
-    inner = len(b)
-    out = [[Fraction(0)] * cols for _ in range(k)]
-    for i in range(k):
-        ai = a[i]
-        oi = out[i]
-        for l in range(inner):
-            ail = ai[l]
-            if ail:
-                bl = b[l]
-                for j in range(cols):
-                    if bl[j]:
-                        oi[j] += ail * bl[j]
-    return out
-
-
 def characteristic_polynomial(matrix: ExactMatrix) -> list[Fraction]:
     """Monic characteristic polynomial det(lambda I - M), ascending
     coefficients (index = power of lambda), by the Faddeev-LeVerrier
-    recursion — exact over Fractions."""
+    recursion in integers: on B = L M, L the common denominator of M, every
+    division by i is exact, and coefficient i is b_i / L^(k-i)."""
     k = len(matrix)
-    coeffs_desc: list[Fraction] = [Fraction(1)]
-    m_cur: ExactMatrix | None = None
+    scale = math.lcm(*(x.denominator for row in matrix for x in row))
+    b = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
+    coeffs_desc = [1]
+    m_cur = b
     for i in range(1, k + 1):
-        if m_cur is None:
-            m_cur = [row[:] for row in matrix]
-        else:
-            shifted = [row[:] for row in m_cur]
-            last = coeffs_desc[-1]
-            for j in range(k):
-                shifted[j][j] += last
-            m_cur = _mat_mul(matrix, shifted)
-        trace = sum((m_cur[j][j] for j in range(k)), Fraction(0))
-        coeffs_desc.append(Fraction(-trace, i))
-    return list(reversed(coeffs_desc))
+        if i > 1:  # b (m_cur + last I) = b m_cur + last b
+            last, cols = coeffs_desc[-1], list(zip(*m_cur))
+            m_cur = [[sum(u * v for u, v in zip(row, col)) + last * x for col, x in zip(cols, row)] for row in b]
+        coeffs_desc.append(-sum(m_cur[j][j] for j in range(k)) // i)
+    return [Fraction(c, scale ** (k - i)) for i, c in enumerate(reversed(coeffs_desc))]
 
 
 def _deflate(coeffs_asc: Sequence[Fraction], root: Fraction) -> list[Fraction]:
@@ -371,7 +350,7 @@ class ClosedForm:
             lam = entry[0]
             if isinstance(lam, complex):
                 return (-lam.real, -lam.imag)
-            return (-float(lam), 0.0)
+            return (-lam, 0)
 
         cleaned.sort(key=sort_key)
         return ClosedForm(terms=tuple(cleaned), scalar_kind=scalar_kind)
@@ -548,41 +527,81 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-Terms = dict[Fraction, list[Fraction]]  # lambda -> p(t) coefficients of p(t) e^{lambda t}
+# rate mu as its (numerator, denominator) pair -> (den, nums): the term
+# (sum_d nums[d] t^d / den) e^{mu t}, int nums over one positive int den
+Form = dict[tuple[int, int], tuple[int, list[int]]]
 
 
-def _add_terms(acc: Terms, weight: Fraction, terms) -> None:
-    """acc += weight * sum_mu p_mu(t) e^{mu t}, terms given as (mu, p_mu) pairs."""
-    for mu, coeffs in terms:
-        poly = acc.setdefault(mu, [])
-        poly.extend([_ZERO] * (len(coeffs) - len(poly)))
-        for d, c in enumerate(coeffs):
-            poly[d] += weight * c
+def _add_terms(acc: Form, weight: Fraction | int, terms) -> None:
+    """acc += weight * terms, given as (mu, (den, nums)) pairs: per rate one
+    lcm of the two denominators where they differ, then int multiply-adds."""
+    wn, wd = weight.numerator, weight.denominator
+    for mu, (den, nums) in terms:
+        den *= wd
+        entry = acc.get(mu)
+        if entry is None:
+            acc[mu] = (den, [wn * c for c in nums])
+            continue
+        acc_den, acc_nums = entry
+        factor, rem = divmod(acc_den, den)
+        if rem:  # to the lcm, acc_den * den / g
+            g = math.gcd(den, rem)
+            up, factor = den // g, acc_den // g
+            acc_nums = [c * up for c in acc_nums]
+            acc[mu] = (acc_den * up, acc_nums)
+        factor *= wn
+        acc_nums.extend([0] * (len(nums) - len(acc_nums)))
+        for d, c in enumerate(nums):
+            acc_nums[d] += factor * c
 
 
-def _scalar_form(lam: Fraction, forcing: Terms, start: Fraction) -> ClosedForm:
+def _reduced(form: Form) -> Form:
+    """Trailing zeros and zero terms dropped, each term over its content gcd."""
+    out: Form = {}
+    for mu, (den, nums) in form.items():
+        while nums and not nums[-1]:
+            nums.pop()
+        if nums:
+            g = math.gcd(den, *nums)
+            out[mu] = (den // g, [c // g for c in nums]) if g > 1 else (den, nums)
+    return out
+
+
+def _closed_form(form: Form) -> ClosedForm:
+    terms = {Fraction(*mu): [Fraction(c, den) for c in nums] for mu, (den, nums) in form.items()}
+    return ClosedForm.build(terms, "exact-rational")
+
+
+def _scalar_form(lam: Fraction, forcing: Form, start: Fraction) -> Form:
     """y' = lam y + sum_mu p_mu(t) e^{mu t}, y(0) = start, by variation of
     constants.  The particular part q_mu e^{mu t} solves
     (mu - lam) q_mu + q_mu' = p_mu, that is
     q_mu = sum_k (-1)^k p_mu^(k) / (mu - lam)^(k+1), and at resonance
     (mu = lam) q_mu = int_0^t p_mu, one degree higher.  Then
-    y = sum_mu q_mu e^{mu t} + (start - sum_mu q_mu(0)) e^{lam t}."""
-    terms: Terms = {}
-    free = start
-    for mu, p in forcing.items():
-        if mu == lam:
-            q = [_ZERO] + [c / (d + 1) for d, c in enumerate(p)]
-        else:
-            delta = mu - lam
-            q = [_ZERO] * len(p)
-            carry = _ZERO  # (k + 1) * q[k + 1]
-            for k in range(len(p) - 1, -1, -1):
-                q[k] = (p[k] - carry) / delta
-                carry = k * q[k]
-            free -= q[0]
-        terms[mu] = q
-    terms.setdefault(lam, [_ZERO])[0] += free
-    return ClosedForm.build(terms, "exact-rational")
+    y = sum_mu q_mu e^{mu t} + (start - sum_mu q_mu(0)) e^{lam t}.
+
+    In integers, with p_mu = P / den of degree m and mu - lam = dn / dd,
+    dn > 0: q_k = R_k / (den dn^(m-k+1)), R_k = dd (P_k dn^(m-k) - (k+1)
+    R_{k+1}), over den dn^(m+1); at resonance den takes lcm(1..m+1)."""
+    key = (lam.numerator, lam.denominator)
+    terms: Form = {}
+    free = [(key, (start.denominator, [start.numerator]))]
+    for mu, (den, p) in forcing.items():
+        m = len(p) - 1
+        if mu == key:
+            scale = math.lcm(*range(1, m + 2))
+            terms[mu] = (den * scale, [0] + [c * (scale // (d + 1)) for d, c in enumerate(p)])
+            continue
+        dn = mu[0] * key[1] - key[0] * mu[1]
+        dn, dd = abs(dn), mu[1] * key[1] if dn > 0 else -mu[1] * key[1]
+        q, r = [0] * (m + 1), 0
+        for k in range(m, -1, -1):
+            r = dd * (p[k] * dn ** (m - k) - (k + 1) * r)
+            q[k] = r * dn**k
+        terms[mu] = (den * dn ** (m + 1), q)
+        free.append((key, (den * dn ** (m + 1), [-r])))
+    _add_terms(terms, 1, free)
+    return _reduced(terms)
 
 
 def _rational_spectrum(a: ExactMatrix) -> list[Fraction]:
@@ -605,8 +624,8 @@ def _rational_spectrum(a: ExactMatrix) -> list[Fraction]:
 
 
 def _block_forms(
-    a: ExactMatrix, forcings: list[Terms], start: list[Fraction], roots: list[Fraction] | None = None
-) -> list[ClosedForm]:
+    a: ExactMatrix, forcings: list[Form], start: list[Fraction], roots: list[Fraction] | None = None
+) -> list[Form]:
     """m' = a m + forcing(t), m(0) = start, for one SCC diagonal block, one
     eigenvalue lam at a time (deflation).  A 1x1 block is one scalar solve.
     Otherwise take r in ker(a - lam) with r_p = 1 and write m_p = z,
@@ -623,11 +642,11 @@ def _block_forms(
     lam = roots[0]
     p, r = _kernel_vector(a, lam)
     rest = [i for i in range(k) if i != p]
-    sub_forcings: list[Terms] = []
+    sub_forcings: list[Form] = []
     for i in rest:
         forcing = forcings[i]
         if r[i] and forcings[p]:
-            forcing = {mu: list(coeffs) for mu, coeffs in forcing.items()}
+            forcing = {mu: (den, nums[:]) for mu, (den, nums) in forcing.items()}
             _add_terms(forcing, -r[i], forcings[p].items())
         sub_forcings.append(forcing)
     ys = _block_forms(
@@ -636,40 +655,46 @@ def _block_forms(
         [start[i] - r[i] * start[p] for i in rest],
         roots[1:],
     )
-    forcing = {mu: list(coeffs) for mu, coeffs in forcings[p].items()}
+    forcing = {mu: (den, nums[:]) for mu, (den, nums) in forcings[p].items()}
     for l, y in zip(rest, ys):
         if a[p][l]:
-            _add_terms(forcing, a[p][l], y.terms)
+            _add_terms(forcing, a[p][l], y.items())
     z = _scalar_form(lam, forcing, start[p])
-    forms = [y + z.scale(r[i]) for i, y in zip(rest, ys)]
+    for i, y in zip(rest, ys):
+        if r[i]:
+            _add_terms(y, r[i], z.items())
+    forms = [_reduced(y) for y in ys]
     forms.insert(p, z)
     return forms
 
 
-def solve_closed_form_vector(ms: MomentSystem) -> list[ClosedForm]:
-    """Exact ClosedForm for every component of m(t); see solve_closed_form.
-
-    Tarjan emits each strongly connected component of A's off-diagonal
-    pattern after every component it reaches, so each block is solved after
-    the indices it depends on: their solved forms, with c, are the block's
-    forcing."""
+def _solve_forms(ms: MomentSystem) -> list[Form]:
+    """Every component of m(t).  Tarjan emits each strongly connected
+    component of A's off-diagonal pattern after every component it reaches:
+    their solved forms, with c, are the block's forcing."""
     deps = [[j for j, _ in row if j != i] for i, row in enumerate(ms.rows)]
-    forms: list[ClosedForm] = [ClosedForm((), "exact-rational")] * ms.dimension
+    forms: list[Form] = [{}] * ms.dimension
     for block in _tarjan_sccs(ms.dimension, deps.__getitem__):
         local = {i: p for p, i in enumerate(block)}
         a = [[_ZERO] * len(block) for _ in block]
-        forcings: list[Terms] = []
+        forcings: list[Form] = []
         for p, i in enumerate(block):
-            forcing = {_ZERO: [ms.vector_c[i]]} if ms.vector_c[i] else {}
+            c = ms.vector_c[i]
+            forcing: Form = {(0, 1): (c.denominator, [c.numerator])} if c else {}
             for j, coeff in ms.rows[i]:
                 if j in local:
                     a[p][local[j]] = coeff
                 else:
-                    _add_terms(forcing, coeff, forms[j].terms)
+                    _add_terms(forcing, coeff, forms[j].items())
             forcings.append(forcing)
         for i, form in zip(block, _block_forms(a, forcings, [ms.m0[i] for i in block])):
             forms[i] = form
     return forms
+
+
+def solve_closed_form_vector(ms: MomentSystem) -> list[ClosedForm]:
+    """Exact ClosedForm for every component of m(t); see solve_closed_form."""
+    return [_closed_form(form) for form in _solve_forms(ms)]
 
 
 def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
@@ -685,7 +710,7 @@ def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
     path is the fallback."""
     if not 0 <= component < ms.dimension:
         raise IndexError(f"component {component} out of range")
-    return solve_closed_form_vector(ms)[component]
+    return _closed_form(_solve_forms(ms)[component])
 
 
 # ---------------------------------------------------------------------------
@@ -771,12 +796,11 @@ class FunctionalMoment:
         return vectors @ w + float(self.offset)
 
     def closed_form_exact(self) -> ClosedForm:
-        parts = solve_closed_form_vector(self.system)
-        acc = ClosedForm.constant(self.offset) if self.offset else ClosedForm(terms=(), scalar_kind="exact-rational")
-        for weight, part in zip(self.weights, parts):
+        acc: Form = {(0, 1): (self.offset.denominator, [self.offset.numerator])} if self.offset else {}
+        for weight, part in zip(self.weights, _solve_forms(self.system)):
             if weight:
-                acc = acc + part.scale(weight)
-        return acc
+                _add_terms(acc, weight, part.items())
+        return _closed_form(_reduced(acc))
 
     def closed_form_float(self) -> ClosedForm:
         acc = ClosedForm((), "float")

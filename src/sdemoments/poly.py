@@ -10,7 +10,7 @@ degree first, ties broken lexicographically on the exponent vector.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -36,6 +36,7 @@ class Monomial:
     """Exponent vector of a power product x1^e1 * ... * xn^en."""
 
     exponents: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)  # hash((exponents,)), once
 
     def __post_init__(self) -> None:
         if not isinstance(self.exponents, tuple):
@@ -43,6 +44,10 @@ class Monomial:
         for e in self.exponents:
             if not isinstance(e, int) or e < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {self.exponents!r}")
+        object.__setattr__(self, "_hash", hash((self.exponents,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dimension(self) -> int:
@@ -73,6 +78,7 @@ class Monomial:
         # Internal fast path: `exponents` is already a tuple of non-negative ints.
         obj = object.__new__(cls)
         object.__setattr__(obj, "exponents", exponents)
+        object.__setattr__(obj, "_hash", hash((exponents,)))
         return obj
 
     @staticmethod

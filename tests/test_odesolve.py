@@ -131,6 +131,15 @@ class TestCharPoly:
             got = np.array([float(c) for c in reversed(exact)])
             assert np.allclose(got, want, atol=1e-8)
 
+    def test_rational_entries_match_sympy(self):
+        rng = random.Random(5)
+        lam = sympy.Symbol("lam")
+        for n in range(1, 6):
+            a = [[F(rng.randint(-9, 9), rng.randint(1, 10**6)) for _ in range(n)] for _ in range(n)]
+            want = sympy.Matrix(n, n, lambda i, j: sympy.Rational(a[i][j].numerator, a[i][j].denominator))
+            coeffs = want.charpoly(lam).all_coeffs()
+            assert characteristic_polynomial(a) == [F(int(c.p), int(c.q)) for c in reversed(coeffs)]
+
     def test_rational_roots_with_multiplicity(self):
         # (x + 2)^2 (x - 1/3) = x^3 + 11/3 x^2 + 8/3 x - 4/3
         coeffs = [F(-4, 3), F(8, 3), F(11, 3), F(1)]
@@ -662,6 +671,67 @@ class TestTriangularPath:
         ms = synthetic_system(relabelled, m0, constants=constants)
         assert_exact_solution(ms, solve_closed_form_vector(ms))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_hard_denominators_solve_exactly_in_lowest_terms(self, data):
+        # Entries p/q with q up to 10^6: triangular rates (indices 0 and 1
+        # share one, and 1 feeds 0, so a resonant term occurs), couplings,
+        # constants, m0, and a cyclic block with a rational spectrum that is
+        # conjugated by a unimodular integer matrix and then scaled by a
+        # diagonal of such entries.  The lcm of unequal denominators, the
+        # content reduction, the resonant recurrence and the integer
+        # characteristic polynomial all run on large denominators.
+        hard = st.builds(
+            Fraction,
+            st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+            st.integers(min_value=1, max_value=10**6),
+        )
+        k = data.draw(st.sampled_from([0, 2, 3]))
+        after = data.draw(st.integers(min_value=0, max_value=2))
+        n = 2 + k + after
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            matrix[i][i] = data.draw(hard)
+            for j in range(i + 1, n):
+                matrix[i][j] = data.draw(st.one_of(st.just(0), hard))
+        matrix[1][1] = matrix[0][0]
+        matrix[0][1] = data.draw(hard)
+        block = range(2, 2 + k)
+        for i in block:
+            matrix[i][i] = data.draw(st.sampled_from([F(-2), F(-1), F(-1, 2), F(0)]))
+            for j in block:
+                if j > i + 1:
+                    matrix[i][j] = 0
+        for _ in range(2 * k):
+            i, j = data.draw(st.permutations(list(block)))[:2]
+            m = data.draw(st.sampled_from([-1, 1]))
+            for c in block:
+                matrix[i][c] += m * matrix[j][c]
+            for r in block:
+                matrix[r][j] -= m * matrix[r][i]
+        scale = {i: data.draw(hard) for i in block}
+        for i in block:
+            for j in block:
+                matrix[i][j] *= scale[i] / scale[j]
+        constants = [data.draw(st.one_of(st.just(0), hard)) for _ in range(n)]
+        m0 = [data.draw(st.one_of(st.just(0), hard)) for _ in range(n)]
+        ms = synthetic_system(matrix, m0, constants=constants)
+        forms = solve_closed_form_vector(ms)
+        assert_exact_solution(ms, forms)
+        for form in forms:
+            rates = [lam for lam, _ in form.terms]
+            assert rates == sorted(set(rates), reverse=True)
+            for lam, coeffs in form.terms:
+                for c in (lam, *coeffs):
+                    assert type(c) is Fraction
+                    assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+                assert coeffs[-1] != 0
+        # The integer forms themselves: each term over its content gcd.
+        for form in odesolve._solve_forms(ms):
+            for (mu_num, mu_den), (den, nums) in form.items():
+                assert mu_den > 0 and math.gcd(mu_num, mu_den) == 1
+                assert den > 0 and nums[-1] != 0 and math.gcd(den, *nums) == 1
+
 
 # ---------------------------------------------------------------------------
 # Golden printed forms
@@ -811,6 +881,13 @@ class TestClosedFormType:
             {F(-4): [F(1)], F(0): [F(1)], F(-2): [F(1)]}, "exact-rational"
         )
         assert [lam for lam, _ in cf.terms] == [F(0), F(-2), F(-4)]
+
+    def test_exact_rates_sorted_by_value_not_by_float(self):
+        # 10**17 and 10**17 + 1 round to the same double.
+        a, b = F(10**17), F(10**17 + 1)
+        one = ClosedForm.build({a: [F(1)], b: [F(2)]}, "exact-rational")
+        other = ClosedForm.build({b: [F(2)], a: [F(1)]}, "exact-rational")
+        assert one.terms == other.terms == ((b, (F(2),)), (a, (F(1),)))
 
     def test_add_merges_matching_rates(self):
         a = ClosedForm.build({F(-1): [F(1), F(2)]}, "exact-rational")
