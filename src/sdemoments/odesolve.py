@@ -556,7 +556,7 @@ def _add_terms(acc: Form, weight: Fraction | int, terms) -> None:
 
 
 def _reduced(form: Form) -> Form:
-    """Trailing zeros and zero terms dropped, each term over its content gcd."""
+    """Trailing zeros (popped in place) and zero terms dropped, each term over its content gcd."""
     out: Form = {}
     for mu, (den, nums) in form.items():
         while nums and not nums[-1]:
