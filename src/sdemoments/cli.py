@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -198,48 +197,6 @@ def _sim_config(args: argparse.Namespace, times: Sequence[float]) -> SimConfig:
     )
 
 
-@dataclass
-class RunReport:
-    """Everything one `moment` invocation produced, for text or JSON output."""
-
-    model_name: str
-    target: str
-    prosolvable: bool | None = None
-    partition: str | None = None
-    closure_size: int | None = None
-    build_seconds: float | None = None
-    closed_form: str | None = None
-    closed_form_kind: str | None = None
-    note: str | None = None
-    times: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
-    simulation: list[dict] | None = None
-    simulation_ok: bool | None = None
-    certificate: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {
-            "model": self.model_name,
-            "target": self.target,
-            "prosolvable": self.prosolvable,
-            "partition": self.partition,
-            "closure_size": self.closure_size,
-            "build_seconds": self.build_seconds,
-            "closed_form": self.closed_form,
-            "closed_form_kind": self.closed_form_kind,
-            "note": self.note,
-            "samples": [
-                {"time": t, "value": v} for t, v in zip(self.times, self.values)
-            ],
-        }
-        if self.simulation is not None:
-            doc["simulation"] = self.simulation
-            doc["simulation_ok"] = self.simulation_ok
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate
-        return doc
-
-
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -302,7 +259,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     alpha = _parse_alpha(args.alpha, model)
     budget = _budget(args)
     started = time.perf_counter()
-    result = build_closure(model, alpha, budget=budget, order=args.order)
+    result = build_closure(model, alpha, budget=budget)
     elapsed = time.perf_counter() - started
     if isinstance(result, DivergenceReport):
         print(result.describe(), file=sys.stderr)
@@ -363,20 +320,15 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     times = _parse_times(args.times)
     budget = _budget(args)
 
-    report = RunReport(model_name=model.name, target=label)
     solvability = check_prosolvable(model)
-    report.prosolvable = solvability.prosolvable
-    if solvability.partition is not None:
-        report.partition = solvability.partition.describe(model.variables)
-
     started = time.perf_counter()
     outcome = linear_functional_moment(model, coeffs, budget=budget)
-    report.build_seconds = round(time.perf_counter() - started, 6)
+    build_seconds = round(time.perf_counter() - started, 6)
     if isinstance(outcome, DivergenceReport):
         print(outcome.describe(), file=sys.stderr)
         return EXIT_DIVERGENCE
-    report.closure_size = outcome.system.dimension
 
+    certificate = None
     if args.certify:
         if not solvability.prosolvable or solvability.partition is None:
             raise _CliFailure(
@@ -386,54 +338,64 @@ def _cmd_moment(args: argparse.Namespace) -> int:
             cert = certify_closure(model, solvability.partition, outcome.system)
         except CertificateError as exc:
             raise _CliFailure(f"certificate failed: {exc}", EXIT_VERIFY_MISMATCH)
-        report.certificate = {
+        certificate = {
             "block_weights": list(cert.weights.weights),
             "max_weighted_degree": cert.max_weighted_degree,
             "block_bounds": list(cert.block_bounds),
         }
 
+    form = kind = note = None
     if args.closed_form:
         form, kind, note = best_closed_form(outcome)
-        report.closed_form_kind = kind
-        report.note = note
-        if form is not None:
-            report.closed_form = str(form)
-
-    report.times = tuple(times)
-    report.values = tuple(float(v) for v in outcome.eval_numeric(times))
-
+    values = [float(v) for v in outcome.eval_numeric(times)]
+    doc: dict = {
+        "model": model.name,
+        "target": label,
+        "prosolvable": solvability.prosolvable,
+        "partition": None
+        if solvability.partition is None
+        else solvability.partition.describe(model.variables),
+        "closure_size": outcome.system.dimension,
+        "build_seconds": build_seconds,
+        "closed_form": None if form is None else str(form),
+        "closed_form_kind": kind,
+        "note": note,
+        "samples": [{"time": t, "value": v} for t, v in zip(times, values)],
+    }
     if args.simulate:
-        rows, all_ok = _run_simulation_comparison(model, coeffs, times, report.values, args)
-        report.simulation = rows
-        report.simulation_ok = all_ok
+        rows, all_ok = _run_simulation_comparison(model, coeffs, times, values, args)
+        doc["simulation"] = rows
+        doc["simulation_ok"] = all_ok
+    if certificate is not None:
+        doc["certificate"] = certificate
 
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        print(f"model: {model.name}")
-        print(f"target: {label}")
-        print(f"prosolvable: {'yes' if report.prosolvable else 'no'}")
-        if report.partition:
-            print(f"partition: {report.partition}")
-        print(f"closure size: {report.closure_size}")
-        if report.certificate is not None:
+        print(f"model: {doc['model']}")
+        print(f"target: {doc['target']}")
+        print(f"prosolvable: {'yes' if doc['prosolvable'] else 'no'}")
+        if doc["partition"]:
+            print(f"partition: {doc['partition']}")
+        print(f"closure size: {doc['closure_size']}")
+        if certificate is not None:
             print(
-                f"certificate: ok (weights {report.certificate['block_weights']}, "
-                f"weighted degree <= {report.certificate['max_weighted_degree']})"
+                f"certificate: ok (weights {certificate['block_weights']}, "
+                f"weighted degree <= {certificate['max_weighted_degree']})"
             )
         if args.closed_form:
-            if report.closed_form is not None:
-                print(f"closed form [{report.closed_form_kind}]: {report.closed_form}")
+            if doc["closed_form"] is not None:
+                print(f"closed form [{doc['closed_form_kind']}]: {doc['closed_form']}")
             else:
-                print(f"closed form: unavailable ({report.note})")
-            if report.note and report.closed_form is not None:
-                print(f"note: {report.note}")
+                print(f"closed form: unavailable ({doc['note']})")
+            if doc["note"] and doc["closed_form"] is not None:
+                print(f"note: {doc['note']}")
         print("time,value")
-        for t, v in zip(report.times, report.values):
-            print(f"{t:g},{v:.12g}")
-        if report.simulation is not None:
+        for sample in doc["samples"]:
+            print(f"{sample['time']:g},{sample['value']:.12g}")
+        if args.simulate:
             print("simulation comparison (4 standard errors):")
-            for row in report.simulation:
+            for row in doc["simulation"]:
                 verdict = "pass" if row["within_4_sigma"] else "FAIL"
                 print(
                     f"  t={row['time']:g}: exact={row['exact']:.6g} "
@@ -441,7 +403,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
                     f"[{verdict}]"
                 )
 
-    if args.simulate and not report.simulation_ok:
+    if args.simulate and not doc["simulation_ok"]:
         print("simulation mismatch beyond 4 standard errors", file=sys.stderr)
         return EXIT_VERIFY_MISMATCH
     return EXIT_OK
@@ -662,12 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_closure = sub.add_parser("closure", help="build the closed ODE system")
     p_closure.add_argument("model", help="model JSON file")
     p_closure.add_argument("--alpha", help="target exponents, e.g. 0,2")
-    p_closure.add_argument(
-        "--order",
-        choices=("fifo", "lifo"),
-        default="fifo",
-        help="worklist discipline (default fifo)",
-    )
     _add_budget_flags(p_closure)
     p_closure.add_argument("--rows", action="store_true", help="print every ODE row")
     p_closure.add_argument("--json", action="store_true", help="machine output")

@@ -172,7 +172,6 @@ def build_closure_multi(
     model: SdeModel,
     alphas: Sequence[Monomial],
     budget: ClosureBudget | None = None,
-    order: str = "fifo",
 ) -> MomentSystem | DivergenceReport:
     """Closure seeded by several target monomials at once (their union).
 
@@ -181,8 +180,6 @@ def build_closure_multi(
     """
     if budget is None:
         budget = ClosureBudget()
-    if order not in ("fifo", "lifo"):
-        raise ValueError(f"unknown worklist order {order!r}")
     seeds: list[Monomial] = []
     for alpha in alphas:
         if alpha.dimension != model.dimension:
@@ -206,10 +203,9 @@ def build_closure_multi(
     parents: dict[Monomial, Monomial | None] = {s: None for s in seeds}
     images: dict[Monomial, GeneratorImage] = {}
     worklist: deque[Monomial] = deque(seeds)
-    pop = worklist.popleft if order == "fifo" else worklist.pop
 
     while worklist:
-        beta = pop()
+        beta = worklist.popleft()
         image = gen.apply(beta)
         images[beta] = image
         # New monomials enter in descending graded-lex order within one image.
@@ -255,10 +251,9 @@ def build_closure(
     model: SdeModel,
     alpha: Monomial,
     budget: ClosureBudget | None = None,
-    order: str = "fifo",
 ) -> MomentSystem | DivergenceReport:
     """Close the moment system for a single target monomial alpha."""
-    return build_closure_multi(model, [alpha], budget=budget, order=order)
+    return build_closure_multi(model, [alpha], budget=budget)
 
 
 def system_rows(

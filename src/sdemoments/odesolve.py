@@ -238,6 +238,9 @@ def extract_rational_roots(
             remaining = _deflate(remaining, cand)
             integral = _integral(remaining)
             roots[cand] = roots.get(cand, 0) + 1
+    if len(remaining) == 2:  # a monic linear factor: its root is -f_0
+        roots[-remaining[0]] = roots.get(-remaining[0], 0) + 1
+        remaining = [Fraction(1)]
     return roots, remaining
 
 
@@ -398,33 +401,17 @@ class ClosedForm:
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        kind = (
-            "exact-rational"
-            if self.scalar_kind == other.scalar_kind == "exact-rational"
-            else "float"
-        )
-
-        def coerce(terms):
-            if kind == "float":
-                return [
-                    (complex(lam) if isinstance(lam, complex) else float(lam),
-                     [complex(c) if isinstance(c, complex) else float(c) for c in coeffs])
-                    for lam, coeffs in terms
-                ]
-            return [(lam, list(coeffs)) for lam, coeffs in terms]
-
+        if self.scalar_kind != other.scalar_kind:
+            raise ValueError(f"cannot add a {self.scalar_kind} form to a {other.scalar_kind} form")
         merged: dict[Scalar, list[Scalar]] = {}
-        for lam, coeffs in coerce(self.terms) + coerce(other.terms):
-            if lam in merged:
-                acc = merged[lam]
-                for d, c in enumerate(coeffs):
-                    if d < len(acc):
-                        acc[d] = acc[d] + c
-                    else:
-                        acc.append(c)
-            else:
-                merged[lam] = list(coeffs)
-        return ClosedForm.build(merged, kind)
+        for lam, coeffs in self.terms + other.terms:
+            acc = merged.setdefault(lam, [])
+            for d, c in enumerate(coeffs):
+                if d < len(acc):
+                    acc[d] = acc[d] + c
+                else:
+                    acc.append(c)
+        return ClosedForm.build(merged, self.scalar_kind)
 
     def __sub__(self, other: "ClosedForm") -> "ClosedForm":
         return self + other.scale(-1)
@@ -445,7 +432,7 @@ class ClosedForm:
         }
         return ClosedForm.build(term_map, self.scalar_kind)
 
-    # -- text / JSON ---------------------------------------------------------
+    # -- text ---------------------------------------------------------------
 
     def _format_scalar(self, v: Scalar) -> str:
         if self.scalar_kind == "exact-rational":
@@ -504,22 +491,6 @@ class ClosedForm:
             else:
                 chunks.append(f"({poly})*{exp}")
         return " + ".join(chunks)
-
-    def to_json_dict(self) -> dict:
-        def scalar_json(v: Scalar):
-            if isinstance(v, Fraction):
-                return str(v)
-            if isinstance(v, complex):
-                return {"re": v.real, "im": v.imag}
-            return float(v)
-
-        return {
-            "kind": self.scalar_kind,
-            "terms": [
-                {"lambda": scalar_json(lam), "coeffs": [scalar_json(c) for c in coeffs]}
-                for lam, coeffs in self.terms
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------

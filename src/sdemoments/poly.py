@@ -170,9 +170,6 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(Monomial.constant(self.dimension), Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)

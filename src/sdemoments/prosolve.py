@@ -35,10 +35,6 @@ class DependencyEdge:
     target: int  # ... in b_i or sigma_ik of variable i
     nonlinear: bool
 
-    def __str__(self) -> str:
-        kind = "nonlinear" if self.nonlinear else "linear"
-        return f"x{self.source + 1} -> x{self.target + 1} ({kind})"
-
 
 @dataclass(frozen=True)
 class DependencyGraph:
@@ -93,9 +89,6 @@ class PartitionReport:
     ok: bool
     problems: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class BlockWeights:
@@ -106,11 +99,9 @@ class BlockWeights:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    ok: bool
     weights: BlockWeights
     max_weighted_degree: int
     block_bounds: tuple[int, ...]  # s_p(beta) <= bound_p for all closure members
-    violations: tuple[str, ...]
 
 
 def _variable_occurrences(polys: Iterable[Polynomial]) -> dict[int, bool]:
@@ -388,9 +379,7 @@ def certify_closure(
             "weighted-degree certificate failed:\n  " + "\n  ".join(violations)
         )
     return CertificateReport(
-        ok=True,
         weights=bw,
         max_weighted_degree=max(degrees),
         block_bounds=block_bounds,
-        violations=(),
     )

@@ -135,12 +135,12 @@ class TestClosure:
         assert "2 * m(2,1)" in first
         assert "m(0) = [0, 0, 0, 0, 0, 0, 0, 0]" in out
 
-    def test_lifo_order_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "closure", OU_ENV, "--alpha", "0,2", "--order", "lifo"
-        )
-        assert code == EXIT_OK
-        assert "closure size: 8" in out
+    def test_order_option_is_gone(self, capsys):
+        # The closure is the same set whatever the worklist order, so there
+        # is no option to choose one.
+        with pytest.raises(SystemExit) as info:
+            main(["closure", OU_ENV, "--alpha", "0,2", "--order", "lifo"])
+        assert info.value.code == EXIT_USAGE
 
     def test_json_document(self, capsys):
         code, out, _ = run_cli(capsys, "closure", OU_ENV, "--alpha", "0,2", "--json")

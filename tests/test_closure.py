@@ -150,41 +150,6 @@ def test_consensus_initial_vector():
 
 
 # ---------------------------------------------------------------------------
-# Worklist order: LIFO visits a different sequence but must close the same set
-# ---------------------------------------------------------------------------
-
-
-class TestWorklistOrder:
-    @pytest.mark.parametrize(
-        "name,alpha",
-        [("ou-env", (0, 2)), ("gene", (1, 0, 0, 0, 1)), ("vehicles", (0, 0, 2, 0))],
-    )
-    def test_lifo_same_set_and_equivalent_system(self, name, alpha):
-        model = load_benchmark(name)
-        fifo = build_closure(model, Monomial(alpha), order="fifo")
-        lifo = build_closure(model, Monomial(alpha), order="lifo")
-        assert set(fifo.indices) == set(lifo.indices)
-        # permutation-equivalence of (A, c, m0)
-        perm = [lifo.indices.index(m) for m in fifo.indices]
-        for r in range(fifo.dimension):
-            assert fifo.vector_c[r] == lifo.vector_c[perm[r]]
-            assert fifo.m0[r] == lifo.m0[perm[r]]
-            for s in range(fifo.dimension):
-                assert fifo.matrix_a[r][s] == lifo.matrix_a[perm[r]][perm[s]]
-
-    def test_unknown_order_rejected(self):
-        model = load_benchmark("ou-env")
-        with pytest.raises(ValueError):
-            build_closure(model, Monomial((0, 2)), order="random")
-
-    def test_fifo_is_default(self):
-        model = load_benchmark("ou-env")
-        default = build_closure(model, Monomial((0, 2)))
-        fifo = build_closure(model, Monomial((0, 2)), order="fifo")
-        assert default.indices == fifo.indices
-
-
-# ---------------------------------------------------------------------------
 # Multi-seed closures
 # ---------------------------------------------------------------------------
 

@@ -256,16 +256,7 @@ class TestExactClosedForm:
     def test_residual_identically_zero(self):
         # d/dt m = A m + c must hold term-for-term in exact arithmetic
         ms = self.build()
-        forms = solve_closed_form_vector(ms)
-        for r in range(ms.dimension):
-            residual = forms[r].derivative()
-            for s in range(ms.dimension):
-                coeff = ms.matrix_a[r][s]
-                if coeff:
-                    residual = residual + forms[s].scale(-coeff)
-            if ms.vector_c[r]:
-                residual = residual + ClosedForm.constant(-ms.vector_c[r])
-            assert residual.terms == (), f"row {r} residual {residual}"
+        assert_exact_solution(ms, solve_closed_form_vector(ms))
 
     def test_matches_numeric_evolution(self):
         ms = self.build()
@@ -292,16 +283,7 @@ class TestExactClosedForm:
 
     def test_vehicles_residual_identically_zero(self):
         ms = build_closure(load_benchmark("vehicles"), Monomial((0, 0, 2, 0)))
-        forms = solve_closed_form_vector(ms)
-        for r in range(ms.dimension):
-            residual = forms[r].derivative()
-            for s in range(ms.dimension):
-                coeff = ms.matrix_a[r][s]
-                if coeff:
-                    residual = residual + forms[s].scale(-coeff)
-            if ms.vector_c[r]:
-                residual = residual + ClosedForm.constant(-ms.vector_c[r])
-            assert residual.terms == ()
+        assert_exact_solution(ms, solve_closed_form_vector(ms))
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +571,18 @@ class TestTriangularPath:
         ms = synthetic_system(matrix, [1] * 5)
         forms = solve_closed_form_vector(ms)
         assert str(forms[0]) == "(1 - 4*t - 3/2*t^2)*exp(-3/17*t)"
+        assert_exact_solution(ms, forms)
+
+    @pytest.mark.parametrize("q", [1000003, 10**7 + 19])
+    def test_eigenvalue_with_a_large_denominator(self, q):
+        # A 2x2 cycle similar to diag(-1/q, -2).  The float hint for -1/q
+        # rounds to no candidate with denominator <= 10^6, but the linear
+        # factor left after deflating -2 has the rational root -1/q.
+        a, b = F(-1, q), F(-2)
+        ms = synthetic_system([[2 * a - b, b - a], [2 * a - 2 * b, 2 * b - a]], [1, 0])
+        assert block_sizes(ms) == [2]
+        forms = solve_closed_form_vector(ms)
+        assert {lam for form in forms for lam, _ in form.terms} == {a, b}
         assert_exact_solution(ms, forms)
 
     @pytest.mark.parametrize("k", range(4, 10))
@@ -894,6 +888,12 @@ class TestClosedFormType:
         b = ClosedForm.build({F(-1): [F(3)]}, "exact-rational")
         assert (a + b).terms == ((F(-1), (F(4), F(2))),)
 
+    def test_add_rejects_mixed_kinds(self):
+        exact = ClosedForm.build({F(-1): [F(1)]}, "exact-rational")
+        approx = ClosedForm.build({-1.0: [1.0]}, "float")
+        with pytest.raises(ValueError):
+            exact + approx
+
     def test_add_cancels_to_empty(self):
         a = ClosedForm.build({F(-1): [F(1)]}, "exact-rational")
         assert (a - a).terms == ()
@@ -923,13 +923,6 @@ class TestClosedFormType:
         a = ClosedForm.build({0.0: [1.0], -3.0: [5e-16]}, "float")
         cleaned = a.prune()
         assert [lam for lam, _ in cleaned.terms] == [0.0]
-
-    def test_json_dict(self):
-        cf = ClosedForm.build({F(-2): [F(1, 2)]}, "exact-rational")
-        doc = cf.to_json_dict()
-        assert doc["kind"] == "exact-rational"
-        assert doc["terms"][0]["lambda"] == "-2"
-        assert doc["terms"][0]["coeffs"] == ["1/2"]
 
 
 class TestClosedFormPrinting:
