@@ -8,8 +8,12 @@ so one matrix exponential covers both parts.  Three evaluation routes:
 
   * eval_numeric      — double precision at arbitrary sorted times; always
                         available.  The state is carried forward between
-                        sorted times: one expm (scaling-and-squaring,
-                        Pade 13) per distinct gap, then a matrix-vector step.
+                        sorted times by the route of less estimated work:
+                        dense expm (scaling-and-squaring, Pade 13) once per
+                        distinct gap, about (squarings + 8) n^3 each, or
+                        scipy's expm_multiply on the CSR augmented matrix
+                        once per gap, about (6 ||aug gap||_1 + 20) sparse
+                        products each.
   * solve_closed_form — exact solution, terms p(t) * exp(lambda t), at any
                         dimension, built fraction-free (int numerators over
                         one int denominator per term; Fractions only in the
@@ -124,14 +128,19 @@ ExactMatrix = list[list[Fraction]]
 _ZERO = Fraction(0)
 
 
-def _augmented_float(ms: MomentSystem) -> np.ndarray:
-    """[[A, c], [0, 0]] in double precision, filled from the sparse rows."""
+def _augmented_csr(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[[A, c], [0, 0]] in double precision as CSR (data, columns, row pointers)."""
     n = ms.dimension
-    aug = np.zeros((n + 1, n + 1))
-    for i, row in enumerate(ms.rows):
-        for j, coeff in row:
-            aug[i, j] = float(coeff)
-        aug[i, n] = float(ms.vector_c[i])
+    entries = [list(row) + ([(n, c)] if c else []) for row, c in zip(ms.rows, ms.vector_c)]
+    data = np.array([float(v) for row in entries for _, v in row])
+    cols = np.array([j for row in entries for j, _ in row], dtype=np.int64)
+    return data, cols, np.cumsum([0] + [len(row) for row in entries] + [0])
+
+
+def _dense(data: np.ndarray, cols: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The square matrix of CSR arrays, dense."""
+    aug = np.zeros((len(indptr) - 1, len(indptr) - 1))
+    aug[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), cols] = data
     return aug
 
 
@@ -139,35 +148,65 @@ def augmented_state0(ms: MomentSystem) -> list[Fraction]:
     return list(ms.m0) + [Fraction(1)]
 
 
+# Fixed cost of one sparse product (Python and call overhead) in nonzeros,
+# calibrated on gene, vehicles and ou-env closures of dim 300-700.
+_SPARSE_OVERHEAD = 4e5
+
+
+def _sparse_is_cheaper(size: int, nnz: int, norm: float, gaps: Sequence[float]) -> bool:
+    """Whether expm_multiply stepping is estimated to cost less than dense
+    Pade 13 over these nonzero gaps.  Dense: (squarings + 8) * size^3 per
+    distinct gap.  Sparse: about 6 * ||aug * gap||_1 + 20 products per gap
+    (Al-Mohy & Higham 2011, section 3), each nnz plus a fixed overhead.
+    Ties, and no step at all, keep the dense route."""
+    dense = sum((np.ceil(np.log2(max(norm * gap, 0.5) / 0.5)) + 8) * size**3 for gap in set(gaps))
+    sparse = sum((6 * norm * gap + 20) * (nnz + _SPARSE_OVERHEAD) for gap in gaps)
+    return sparse < dense
+
+
 def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     """m(t) for each t, shape (len(times), dimension); row components follow
     ms.indices.  The augmented state is carried forward through the sorted
-    times: one expm(aug * gap) per distinct gap, then a matrix-vector step; a
-    zero gap leaves the state as it is, so a t = 0 row is m0 exactly.  Raises
-    OdeSolveError when the state overflows."""
+    times; a zero gap leaves it as it is, so a t = 0 row is m0 exactly and a
+    repeated time repeats its row.  One route per call, by estimated work
+    (_sparse_is_cheaper): one dense expm(aug * gap) per distinct gap and a
+    matrix-vector step, or scipy's expm_multiply on aug in CSR form, never
+    densified, with scipy imported only then.  Raises OdeSolveError when the
+    state overflows."""
     times = list(times)
     if any(t < 0 for t in times):
         raise ValueError("times must be non-negative")
     if sorted(times) != times:
         raise ValueError("times must be sorted ascending")
-    aug = _augmented_float(ms)
+    n = ms.dimension
+    data, cols, indptr = _augmented_csr(ms)
+    norm = float(np.bincount(cols, np.abs(data), n + 1).max())  # ||aug||_1
+    gaps = [t - s for s, t in zip([0.0] + times, times) if t != s]
+    sparse = _sparse_is_cheaper(n + 1, len(data), norm, gaps)
+    if sparse:
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import expm_multiply
+
+        aug = csr_array((data, cols, indptr), shape=(n + 1, n + 1))
+    else:
+        aug = _dense(data, cols, indptr)
     state = np.array([float(v) for v in augmented_state0(ms)])
-    out = np.empty((len(times), ms.dimension))
+    out = np.empty((len(times), n))
     previous, step_gap, step = 0.0, None, None
     # Overflow shows up as a non-finite state, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, t in enumerate(times):
             gap = t - previous
             previous = t
-            if gap:
+            if gap and sparse:
+                state = expm_multiply(aug * gap, state)
+            elif gap:
                 if gap != step_gap:
                     step, step_gap = expm(aug * gap), gap
                 state = step @ state
             if not np.isfinite(state).all():
-                raise OdeSolveError(
-                    f"moment evaluation overflowed at t={t} (matrix norm {np.linalg.norm(aug, 1):.3g})"
-                )
-            out[row] = state[: ms.dimension]
+                raise OdeSolveError(f"moment evaluation overflowed at t={t} (matrix norm {norm:.3g})")
+            out[row] = state[:n]
     return out
 
 
@@ -694,7 +733,7 @@ _COEFF_PRUNE = 1e-12
 
 
 def _float_spectral_data(ms: MomentSystem) -> list[tuple[complex, np.ndarray]]:
-    values, vectors = np.linalg.eig(_augmented_float(ms))
+    values, vectors = np.linalg.eig(_dense(*_augmented_csr(ms)))
     order = np.lexsort((values.imag, values.real))[::-1]
     values = values[order]
     vectors = vectors[:, order]

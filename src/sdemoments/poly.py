@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 

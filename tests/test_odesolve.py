@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -215,6 +217,87 @@ class TestEvalNumeric:
         values = eval_numeric(ms, times)
         want = [(1 - math.exp(-2 * t)) / 2 for t in times]
         assert np.allclose(values[:, 0], want, rtol=1e-12, atol=1e-14)
+
+
+SPARSE_IS_CHEAPER = odesolve._sparse_is_cheaper
+OU_ENV_PATH = str(Path(__file__).resolve().parents[1] / "benchmarks" / "ou-env.json")
+
+
+def route_spy(monkeypatch, force=None):
+    """Record whether each eval_numeric call takes the sparse route; with
+    `force`, take that route instead of the one the cost rule picks."""
+    chosen = []
+
+    def choose(*args):
+        chosen.append(SPARSE_IS_CHEAPER(*args) if force is None else force)
+        return chosen[-1]
+
+    monkeypatch.setattr(odesolve, "_sparse_is_cheaper", choose)
+    return chosen
+
+
+class TestSparseRoute:
+    TIMES = [0.0, 0.25, 0.5, 0.5, 1.0, 2.0, 3.5]
+
+    @pytest.mark.parametrize(
+        "model, alpha, dim", [("gene", (0, 0, 0, 1, 3), 697), ("vehicles", (3, 1, 1, 5), 469)]
+    )
+    def test_routes_agree_on_the_trajectory_scale(self, monkeypatch, model, alpha, dim):
+        ms = build_closure(load_benchmark(model), Monomial(alpha))
+        assert ms.dimension == dim
+        chosen = route_spy(monkeypatch)
+        sparse = eval_numeric(ms, self.TIMES)
+        assert chosen == [True]
+        route_spy(monkeypatch, force=False)
+        dense = eval_numeric(ms, self.TIMES)
+        scale = np.abs(dense).max()
+        assert np.abs(sparse - dense).max() <= 1e-12 * scale
+        # Point-wise the error is larger where a moment is small against the
+        # scale: 2.4e-11 on gene, 3.6e-12 on vehicles.
+        nonzero = dense != 0
+        pointwise = np.abs(sparse - dense)[nonzero] / np.abs(dense[nonzero])
+        assert pointwise.max() <= 1e-9
+
+    def test_small_closures_keep_the_dense_route(self, monkeypatch):
+        chosen = route_spy(monkeypatch)
+        for model, alpha in [("gene", (0, 0, 0, 0, 2)), ("ou-env", (0, 13)), ("consensus", (1, 1))]:
+            eval_numeric(build_closure(load_benchmark(model), Monomial(alpha)), self.TIMES)
+        assert chosen == [False, False, False]
+
+    def test_zero_gaps_leave_the_state_as_it_is(self, monkeypatch):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((0, 4)))
+        route_spy(monkeypatch, force=True)
+        values = eval_numeric(ms, [0.0, 1.0, 1.0])
+        assert values[0].tolist() == [float(v) for v in ms.m0]
+        assert values[1].tolist() == values[2].tolist()
+
+    @pytest.mark.parametrize("force", [False, True], ids=["dense", "sparse"])
+    def test_overflow_raises_instead_of_nan(self, monkeypatch, force):
+        # m1' = m1 + 1, m2' = m1 + m2: both grow like e^t and overflow by t = 800.
+        ms = synthetic_system([[1, 0], [1, 1]], [1, 1], constants=[1, 0])
+        route_spy(monkeypatch, force=force)
+        with pytest.raises(OdeSolveError, match=r"overflowed at t=800.0 \(matrix norm 2\)"):
+            eval_numeric(ms, [1.0, 800.0])
+
+    def test_scipy_is_imported_by_the_sparse_route_only(self):
+        # In a fresh process: neither the import nor a small closed-form
+        # moment may load scipy.sparse.linalg; a large sparse closure does.
+        code = (
+            "import sys, contextlib, io\n"
+            "import sdemoments\n"
+            "from sdemoments.cli import main\n"
+            "seen = ['scipy.sparse.linalg' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['moment', {OU_ENV_PATH!r}, '--alpha', '0,2', '--closed-form']) == 0\n"
+            "seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "ms = sdemoments.build_closure(sdemoments.load_benchmark('vehicles'), sdemoments.Monomial((3, 1, 1, 5)))\n"
+            "sdemoments.eval_numeric(ms, [0.5])\n"
+            "seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False, True]"
 
 
 # ---------------------------------------------------------------------------
