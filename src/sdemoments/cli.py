@@ -546,6 +546,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.tail_exp is not None and args.markov_threshold is None:
         raise _CliFailure("--tail-exp requires --markov-threshold/--power", EXIT_USAGE)
+    if args.markov_threshold is not None:
+        try:
+            markov_tail_bound(0.0, args.markov_threshold, args.power)
+        except ValueError as exc:
+            raise _CliFailure(f"bad tail-bound arguments: {exc}", EXIT_USAGE)
     has_check = (
         args.lower is not None
         or args.upper is not None
@@ -580,12 +585,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ok = ok and good
             checks.append(f"<= {args.upper:g}: {'pass' if good else 'FAIL'}")
         if args.markov_threshold is not None:
-            try:
-                bound = markov_tail_bound(
-                    max(float(value), 0.0), args.markov_threshold, args.power
-                )
-            except ValueError as exc:
-                raise _CliFailure(f"bad tail-bound arguments: {exc}", EXIT_USAGE)
+            bound = markov_tail_bound(max(float(value), 0.0), args.markov_threshold, args.power)
             checks.append(
                 f"P(|Z| >= {args.markov_threshold:g}) <= {bound:.6g}"
             )

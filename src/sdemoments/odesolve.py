@@ -65,7 +65,9 @@ class ClosedFormUnsupported(Exception):
     For the exact path, `remaining_factor` carries the monic factor
     (ascending coefficients) of the first SCC block whose spectrum is not
     rational: the block's characteristic polynomial with its rational roots
-    removed, a product of factors none of which has a rational root.
+    divided out.  Those are r / L for the integer roots r of the
+    characteristic polynomial of L times the block, L its common
+    denominator, each verified by exact division (see _rational_spectrum).
     """
 
     def __init__(self, reason: str, remaining_factor: tuple[Fraction, ...] | None = None):
@@ -233,84 +235,27 @@ def characteristic_polynomial(matrix: ExactMatrix) -> list[Fraction]:
     return [Fraction(c, scale ** (k - i)) for i, c in enumerate(reversed(coeffs_desc))]
 
 
-def _deflate(coeffs_asc: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (lambda - root); the remainder must vanish."""
-    desc = list(reversed(coeffs_asc))
-    quotient_desc: list[Fraction] = []
-    acc = Fraction(0)
-    for c in desc[:-1]:
+def _divide(coeffs_asc: Sequence[int], root: int) -> tuple[int, list[int]]:
+    """(p(root), q) with p(x) = (x - root) q(x) + p(root), by synthetic
+    division in integers; so p'(root) = q(root)."""
+    acc, desc = 0, []
+    for c in reversed(coeffs_asc):
         acc = acc * root + c
-        quotient_desc.append(acc)
-    remainder = acc * root + desc[-1]
-    if remainder != 0:
-        raise ValueError(f"{root} is not a root (remainder {remainder})")
-    return list(reversed(quotient_desc))
+        desc.append(acc)
+    return desc.pop(), desc[::-1]
 
 
-def _rational_candidates(hints: Sequence[complex]) -> list[Fraction]:
-    """Rational guesses near the numeric spectrum, most negative last so the
-    extraction below peels candidates deterministically.  A root of
-    multiplicity m comes out of a float solver as a cluster of radius about
-    eps^(1/m), possibly with no real member; it is a simple root of the
-    (m-1)-th derivative, though, so hints taken from the roots of the
-    polynomial and of each of its derivatives locate it to full precision.
-    The real part of every hint is tried; each guess is verified exactly."""
-    found: set[Fraction] = {Fraction(0)}
-    for h in hints:
-        r = Fraction(float(h.real))
-        found.add(Fraction(round(r)))
-        for denominator in (1, 2, 3, 4, 6, 8, 12, 16, 100, 10**4, 10**6):
-            found.add(r.limit_denominator(denominator))
-    return sorted(found, reverse=True)
-
-
-def extract_rational_roots(
-    coeffs_asc: Sequence[Fraction], hints: Sequence[complex]
-) -> tuple[dict[Fraction, int], list[Fraction]]:
-    """All rational roots (with multiplicity, found via numeric localization
-    and verified exactly) and the remaining monic factor after deflation."""
-    remaining = list(coeffs_asc)
-    integral = _integral(remaining)
-    roots: dict[Fraction, int] = {}
-    for cand in _rational_candidates(hints):
-        while len(remaining) > 1 and _vanishes_at(integral, cand):
-            remaining = _deflate(remaining, cand)
-            integral = _integral(remaining)
-            roots[cand] = roots.get(cand, 0) + 1
-    if len(remaining) == 2:  # a monic linear factor: its root is -f_0
-        roots[-remaining[0]] = roots.get(-remaining[0], 0) + 1
-        remaining = [Fraction(1)]
-    return roots, remaining
-
-
-def _integral(coeffs_asc: Sequence[Fraction]) -> list[int]:
-    """L times the polynomial, L the common denominator: the same roots,
-    integer coefficients."""
-    lcm = math.lcm(*(c.denominator for c in coeffs_asc))
-    return [c.numerator * (lcm // c.denominator) for c in coeffs_asc]
-
-
-def _vanishes_at(integral: Sequence[int], x: Fraction) -> bool:
-    """Whether q^d f(p/q) = sum f_i p^i q^(d-i) is zero, x = p/q, in integers."""
-    p, q = x.numerator, x.denominator
-    acc, scale = 0, 1
-    for c in reversed(integral):
-        acc = acc * p + c * scale
-        scale *= q
-    return acc == 0
-
-
-def _is_squarefree(coeffs_asc: Sequence[Fraction]) -> bool:
-    """Whether gcd(p, p') is a constant, by Euclid's algorithm over Q."""
-    a, b = list(coeffs_asc), [d * c for d, c in enumerate(coeffs_asc)][1:]
-    while len(b) > 1:
-        while len(a) >= len(b):  # a <- a mod b
-            q = a[-1] / b[-1]
-            a = [x - q * y for x, y in zip(a, [_ZERO] * (len(a) - len(b)) + b)][:-1]
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return bool(b)
+def _newton(coeffs_asc: Sequence[int], x: int) -> int:
+    """x after the integer Newton steps x -= round(p(x) / p'(x)), taken for
+    as long as |step| strictly shrinks."""
+    last = None
+    while True:
+        value, quotient = _divide(coeffs_asc, x)
+        slope = _divide(quotient, x)[0]
+        step = round(Fraction(value, slope)) if slope else 0
+        if not step or (last is not None and abs(step) >= abs(last)):
+            return x
+        x, last = x - step, step
 
 
 def _kernel_vector(a: ExactMatrix, lam: Fraction) -> tuple[int, list[Fraction]]:
@@ -615,22 +560,46 @@ def _scalar_form(lam: Fraction, forcing: Form, start: Fraction) -> Form:
 
 
 def _rational_spectrum(a: ExactMatrix) -> list[Fraction]:
-    """The eigenvalues of a with multiplicity, descending.  Float hints: the
-    roots of the characteristic polynomial, and of its derivatives when it
-    has a repeated factor.  Raises ClosedFormUnsupported when a factor with
-    no rational root remains."""
-    coeffs = characteristic_polynomial(a)
-    poly = np.array([float(c) for c in reversed(coeffs)])
-    orders = range(1 if _is_squarefree(coeffs) else len(coeffs) - 1)
-    hints = [h for j in orders for h in np.roots(np.polyder(poly, j))]
-    roots, remaining = extract_rational_roots(coeffs, hints)
-    if len(remaining) > 1:
+    """The eigenvalues of a with multiplicity, descending.  With L the common
+    denominator of a, B = L a has a monic integer characteristic polynomial
+    g, whose rational roots are integers r: the eigenvalues r / L of a.
+    Float hints locate them: the roots of g written in the unscaled
+    variable (so the float coefficients cannot overflow), then the roots of
+    each derivative of the factor still left (a root of multiplicity m is a
+    simple root of the (m-1)-th).  Each hint is scaled by L, rounded,
+    refined by integer Newton steps on the polynomial it came from, and
+    kept while synthetic division leaves remainder zero.  Raises
+    ClosedFormUnsupported when a factor with no rational root remains."""
+    scale = math.lcm(*(x.denominator for row in a for x in row))
+    g = [int(c * scale ** (len(a) - i)) for i, c in enumerate(characteristic_polynomial(a))]
+
+    def unscaled(h: list[int]) -> list[Fraction]:  # h(L x) / L^deg h, monic
+        return [Fraction(c, scale ** (len(h) - 1 - i)) for i, c in enumerate(h)]
+
+    roots: list[int] = []
+    order = 0
+    while order < len(g) - 1:
+        source = g
+        for _ in range(order):
+            source = [i * c for i, c in enumerate(source)][1:]
+        for hint in np.roots(np.polyder([float(c) for c in reversed(unscaled(g))], order)):
+            if not math.isfinite(hint.real):
+                continue
+            root = _newton(source, round(Fraction(hint.real) * scale))
+            while len(g) > 1:
+                remainder, quotient = _divide(g, root)
+                if remainder:
+                    break
+                g = quotient
+                roots.append(root)
+        order += 1
+    if len(g) > 1:
         raise ClosedFormUnsupported(
             f"the spectrum is not rational: an SCC block of size {len(a)} leaves a "
-            f"characteristic factor of degree {len(remaining) - 1} with no rational root",
-            remaining_factor=tuple(remaining),
+            f"characteristic factor of degree {len(g) - 1} with no rational root",
+            remaining_factor=tuple(unscaled(g)),
         )
-    return [lam for lam, mult in sorted(roots.items(), reverse=True) for _ in range(mult)]
+    return [Fraction(r, scale) for r in sorted(roots, reverse=True)]
 
 
 def _block_forms(
@@ -712,12 +681,14 @@ def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
 
     The indices are solved one strongly connected component of A's
     off-diagonal pattern at a time, at any dimension: a 1x1 block by exact
-    variation of constants, a larger block by removing the rational roots
-    of its characteristic polynomial one at a time, each step a kernel
-    vector, a rank-one update of the block and one scalar solve.
-    Raises ClosedFormUnsupported, carrying the remaining characteristic
-    factor, when a block's spectrum is not rational; the float-spectrum
-    path is the fallback."""
+    variation of constants, a larger block by removing its rational
+    eigenvalues one at a time, each step a kernel vector, a rank-one update
+    of the block and one scalar solve.  The eigenvalues are r / L for the
+    integer roots r of the characteristic polynomial of L times the block,
+    L its common denominator; no denominator is guessed.  Raises
+    ClosedFormUnsupported, carrying the remaining characteristic factor,
+    when a block's spectrum is not rational; the float-spectrum path is the
+    fallback."""
     if not 0 <= component < ms.dimension:
         raise IndexError(f"component {component} out of range")
     return _closed_form(_solve_forms(ms)[component])
@@ -872,7 +843,7 @@ def linear_functional_moment(
 def markov_tail_bound(moment_value: float, threshold: float, power: int) -> float:
     """P(|Z| >= threshold) <= E[|Z|^power] / threshold^power; `moment_value`
     must be that even-power moment."""
-    if threshold <= 0:
+    if not threshold > 0:  # NaN too
         raise ValueError("threshold must be positive")
     if not isinstance(power, int) or power <= 0 or power % 2:
         raise ValueError("power must be a positive even integer")

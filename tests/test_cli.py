@@ -602,6 +602,19 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "--tail-exp requires" in err
 
+    @pytest.mark.parametrize(
+        "threshold, power",
+        [("1", "3"), ("0", "2"), ("nan", "2"), ("1", "-2")],
+        ids=["odd", "zero-threshold", "nan-threshold", "negative"],
+    )
+    def test_bad_tail_bound_arguments_print_nothing(self, capsys, threshold, power):
+        code, out, err = run_cli(
+            capsys, "verify", OU_ENV, "--alpha", "0,2", "--markov-threshold", threshold, "--power", power
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "bad tail-bound arguments" in err
+
     def test_markov_flags_must_pair(self, capsys):
         code, _, err = run_cli(
             capsys,

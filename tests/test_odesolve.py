@@ -28,7 +28,6 @@ from sdemoments.odesolve import (
     characteristic_polynomial,
     eval_numeric,
     expm,
-    extract_rational_roots,
     linear_functional_moment,
     markov_tail_bound,
     solve_closed_form,
@@ -145,17 +144,22 @@ class TestCharPoly:
     def test_rational_roots_with_multiplicity(self):
         # (x + 2)^2 (x - 1/3) = x^3 + 11/3 x^2 + 8/3 x - 4/3
         coeffs = [F(-4, 3), F(8, 3), F(11, 3), F(1)]
-        roots, remaining = extract_rational_roots(coeffs, [-2.0, -2.0, 1 / 3])
-        assert roots == {F(-2): 2, F(1, 3): 1}
-        assert remaining == [F(1)]
+        assert odesolve._rational_spectrum(companion(coeffs)) == [F(1, 3), F(-2), F(-2)]
 
     def test_irrational_roots_left_in_remainder(self):
         # x^2 + 7x + 8 has roots (-7 +- sqrt(17))/2
         coeffs = [F(8), F(7), F(1)]
-        hints = np.roots([1.0, 7.0, 8.0]).tolist()
-        roots, remaining = extract_rational_roots(coeffs, hints)
-        assert roots == {}
-        assert remaining == coeffs
+        with pytest.raises(ClosedFormUnsupported) as info:
+            odesolve._rational_spectrum(companion(coeffs))
+        assert info.value.remaining_factor == tuple(coeffs)
+
+
+def companion(coeffs):
+    """The companion matrix of the monic polynomial with these ascending
+    coefficients: ones below the diagonal, minus the coefficients in the
+    last column."""
+    k = len(coeffs) - 1
+    return [[F(int(i == j + 1)) if j < k - 1 else -coeffs[i] for j in range(k)] for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +557,47 @@ def block_sizes(ms):
 # ---------------------------------------------------------------------------
 
 
+# P diag(-1/1000003, -1/1000033, -2) P^-1 with P = [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+# whose inverse is half of [[1, -1, 1], [1, 1, -1], [-1, 1, 1]].
+FOUND_BLOCK = [
+    [
+        sum(p * lam * q for p, lam, q in zip(row, (F(-1, 1000003), F(-1, 1000033), F(-2)), col)) / 2
+        for col in zip((1, -1, 1), (1, 1, -1), (-1, 1, 1))
+    ]
+    for row in ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+]
+
+
+@st.composite
+def rational_spectrum_blocks(draw):
+    """A block with a rational spectrum: up to three eigenvalues p/q, q up to
+    10^6, each of multiplicity up to 3, on the diagonal of an upper
+    triangular matrix with small integers above it (so Jordan chains
+    occur), conjugated by a unimodular integer matrix and then scaled by a
+    diagonal of entries with denominators up to 10^6."""
+    hard = st.builds(
+        Fraction,
+        st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    values = draw(st.lists(st.one_of(st.just(F(0)), hard), min_size=1, max_size=3, unique=True))
+    diagonal = [v for v in values for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    k = len(diagonal)
+    matrix = [
+        [diagonal[i] if i == j else F(draw(st.integers(-2, 2))) if j > i else F(0) for j in range(k)]
+        for i in range(k)
+    ]
+    for _ in range(2 * k if k > 1 else 0):
+        i, j = draw(st.permutations(range(k)))[:2]
+        m = draw(st.sampled_from([-1, 1]))
+        for c in range(k):
+            matrix[i][c] += m * matrix[j][c]
+        for r in range(k):
+            matrix[r][j] -= m * matrix[r][i]
+    scale = [draw(hard) for _ in range(k)]
+    return [[matrix[i][j] * scale[i] / scale[j] for j in range(k)] for i in range(k)]
+
+
 class TestTriangularPath:
     @pytest.mark.parametrize(
         "name, exponents",
@@ -578,13 +623,19 @@ class TestTriangularPath:
         assert_exact_solution(fm.system, solve_closed_form_vector(fm.system))
 
     @pytest.mark.parametrize(
-        "name, exponents", [("consensus", (1, 1)), ("oscillator", (0, 1, 2))]
+        "name, exponents",
+        [("consensus", (1, 1)), ("oscillator", (0, 1, 2)), ("oscillator", (2, 0, 0)), ("oscillator", (0, 2, 2))],
     )
     def test_cyclic_closures_are_not_triangular(self, name, exponents):
         ms = build_closure(load_benchmark(name), Monomial(exponents))
         assert block_sizes(ms)[-1] > 1
-        with pytest.raises(ClosedFormUnsupported, match="SCC block of size .* no rational root"):
+        with pytest.raises(ClosedFormUnsupported, match="SCC block of size .* no rational root") as info:
             solve_closed_form_vector(ms)
+        # The factor left has no rational root by an independent oracle.
+        factor = info.value.remaining_factor
+        assert len(factor) > 2 and factor[-1] == 1
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(factor)]
+        assert sympy.Poly(coeffs, sympy.Symbol("x")).ground_roots() == {}
 
     def test_resonance_raises_the_degree(self):
         # m1' = -m1, m2' = -m2 + m1, m(0) = (1, 0): m1 = e^{-t} forces m2 at
@@ -667,6 +718,26 @@ class TestTriangularPath:
         forms = solve_closed_form_vector(ms)
         assert {lam for form in forms for lam, _ in form.terms} == {a, b}
         assert_exact_solution(ms, forms)
+
+    def test_two_eigenvalues_with_large_denominators(self):
+        # Two rational eigenvalues with denominators above 10^6 in one block:
+        # float hints rounded to denominators up to 10^6 missed both, and the
+        # block was reported as leaving a quadratic with no rational root.
+        assert odesolve._rational_spectrum(FOUND_BLOCK) == [F(-1, 1000033), F(-1, 1000003), F(-2)]
+        matrix = [row + [0] for row in FOUND_BLOCK] + [[1, 0, F(1, 7), F(-1, 2)]]
+        ms = synthetic_system(matrix, [1, 0, 2, 3], constants=[0, 1, 0, 1])
+        assert block_sizes(ms) == [1, 3]
+        assert_exact_solution(ms, solve_closed_form_vector(ms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_spectrum_blocks())
+    @example(FOUND_BLOCK)
+    def test_spectrum_matches_sympy(self, a):
+        want = sympy.Matrix(a).eigenvals()
+        got = odesolve._rational_spectrum(a)
+        assert got == sorted(
+            (F(int(lam.p), int(lam.q)) for lam, mult in want.items() for _ in range(mult)), reverse=True
+        )
 
     @pytest.mark.parametrize("k", range(4, 10))
     def test_conjugated_jordan_blocks_solve_exactly(self, k):
@@ -1075,8 +1146,9 @@ class TestMarkovBound:
         assert markov_tail_bound(0.0016, 0.2, 4) == pytest.approx(1.0)
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            markov_tail_bound(1.0, 0.0, 2)
+        for threshold in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                markov_tail_bound(1.0, threshold, 2)
 
     def test_power_must_be_even_positive(self):
         with pytest.raises(ValueError):
