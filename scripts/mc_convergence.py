@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Measure the Euler-Maruyama weak bias as the time step is halved.
+"""Measure the weak Euler bias as the time step is halved.
 
-For a moment with a known exact value, the scheme's weak error is O(dt):
+The simulator's increments are equiprobable +-sqrt(dt) (the simplified weak
+Euler scheme).  For a moment with a known exact value, its weak error is O(dt):
 halving dt should roughly halve |mean - exact| once the statistical noise
 is small against the bias.  This script estimates E[x1^2] at a fixed time
 for a linear mean-reverting benchmark across a ladder of step sizes and

@@ -6,7 +6,7 @@ check     structural solvability analysis of a model file
 closure   build the closed linear ODE system for one target moment
 moment    full pipeline: closure, closed form, numeric values, optional
           Monte Carlo cross-check and closure certificate
-simulate  Euler--Maruyama estimates only (CSV or JSON)
+simulate  weak Euler (+-sqrt(dt) increments) estimates only (CSV or JSON)
 table1    re-run the bundled benchmark suite and diff closure sizes
 verify    check bounds / tail estimates of a moment on a time grid
 

@@ -1,13 +1,15 @@
-"""Euler-Maruyama path simulation: the statistical oracle for exact moments.
+"""Simplified weak Euler paths: the statistical oracle for exact moments.
 
-Reproducibility contract: estimates are bitwise identical for a fixed
-(seed, paths, dt, record_times) regardless of the worker count.  Paths are
-simulated in blocks whose boundaries depend on ``paths`` alone.  Each block
-owns one counter-based Philox substream keyed by (seed, first path of the
-block); its Gaussian increments are numpy's ziggurat normals drawn from that
-substream step by step, so the estimate at a time does not depend on any
-later record time.  Per-block partial sums are pairwise reductions and
-blocks are combined in fixed order with compensated summation.
+Only moments at fixed times are estimated, so each Brownian increment is an
+equiprobable +-sqrt(dt), which keeps weak order 1 (Kloeden & Platen 1992,
+section 14.1).  Reproducibility contract: estimates are bitwise identical
+for a fixed (seed, paths, dt, record_times) regardless of the worker count.
+Paths are simulated in blocks whose boundaries depend on ``paths`` alone.
+Each block owns one counter-based Philox substream keyed by (seed, first
+path of the block); the increment signs are the bits of its raw 64-bit words
+in order, so the estimate at a time does not depend on any later record
+time.  Per-block partial sums are pairwise reductions and blocks are
+combined in fixed order with compensated summation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .model import SdeModel
 from .poly import Monomial, Polynomial
 
 _PATH_BLOCK = 2048  # paths simulated together (vectorized)
-_STEP_CHUNK = 512  # steps per noise draw (bounds the noise buffer)
+_STEP_CHUNK = 64  # steps per noise draw; a multiple of 64 uses whole words
 _BLOWUP_LIMIT = 1e12
 
 
@@ -164,7 +166,7 @@ def _simulate_block(
     coef = ev.coef * scale[:, None]
     increment = np.empty((len(coef), block_paths))
     key = ((cfg.seed & (2**64 - 1)) << 64) | first_path
-    rng = np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(key=key)
     total_steps = record_steps[-1]
     noise = np.empty((min(_STEP_CHUNK, total_steps), ev.brownian_dim, block_paths))
     record_set = {s: idx for idx, s in enumerate(record_steps)}
@@ -183,7 +185,10 @@ def _simulate_block(
             return sums
         s = step % _STEP_CHUNK
         if s == 0:
-            rng.standard_normal(out=noise[: min(_STEP_CHUNK, total_steps - step)])
+            flat = noise[: min(_STEP_CHUNK, total_steps - step)].reshape(-1)
+            raw = bits.random_raw(-(-flat.size // 64)).astype("<u8").view(np.uint8)
+            np.multiply(np.unpackbits(raw, count=flat.size), 2.0, out=flat)
+            flat -= 1.0
         np.matmul(coef, rows, out=increment)
         for e, (i, k) in enumerate(ev.noise, start=n):
             np.multiply(increment[e], noise[s, k], out=increment[e])
@@ -236,7 +241,7 @@ def _functional_estimates(
 def simulate_moment(
     model: SdeModel, alpha: Monomial, cfg: SimConfig
 ) -> list[MomentEstimate]:
-    """Estimate E[X_t^alpha] at each record time by Euler-Maruyama paths."""
+    """Estimate E[X_t^alpha] at each record time by weak Euler paths."""
     if alpha.dimension != model.dimension:
         raise SimulationError(
             f"target {alpha} has dimension {alpha.dimension}, model has {model.dimension}"

@@ -223,10 +223,12 @@ def test_criterion_6_vehicle_gap_reference_form():
 
 
 @pytest.mark.slow
-@_gate(7, "10^5-path Euler-Maruyama within 4 standard errors of exact values")
+@_gate(7, "10^5-path weak Euler within 4 standard errors of exact values")
 def test_criterion_7_monte_carlo_cross_validation():
+    # One worker: the step loop holds the GIL, so threads only add switching,
+    # and estimates are bitwise independent of the worker count.
     cfg = lambda times: SimConfig(  # noqa: E731 - tiny local alias
-        dt=1e-3, paths=100_000, seed=0, record_times=times, workers=4
+        dt=1e-3, paths=100_000, seed=0, record_times=times, workers=1
     )
 
     ou = load_benchmark("ou-env")

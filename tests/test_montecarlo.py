@@ -1,4 +1,4 @@
-"""Euler--Maruyama simulation: determinism, exactness limits, statistics."""
+"""Weak Euler simulation: determinism, exactness limits, statistics."""
 
 import json
 import math
@@ -229,7 +229,8 @@ class TestDeterminism:
             assert a.std_error == b.std_error == c.std_error
 
     def test_estimate_does_not_depend_on_later_record_times(self):
-        # 900 steps cross the 512-step noise chunk; the first 300 do not.
+        # 300 steps end inside a 64-step noise chunk, so the short run draws
+        # a partial last chunk whose bits the long run draws as a whole one.
         model = load_benchmark("ou-env")
         short, long = (
             simulate_moment(
@@ -309,14 +310,43 @@ class TestNoiselessDynamics:
 
 class TestBrownianStatistics:
     def test_second_and_fourth_moments_of_brownian_motion(self):
-        # dX = dW from 0: X_1 ~ N(0,1); the Euler scheme is exact here, so a
-        # 4-standard-error window is a clean statistical test
+        # dX = dW from 0: X_1 ~ N(0,1).  With +-sqrt(dt) increments X_1 is a
+        # scaled random walk: E[X_1^2] = 1 exactly, but E[X_1^4] = 3 - 2 dt =
+        # 2.98, a bias of about 0.3 standard errors at these paths, well
+        # inside the 4-standard-error window.
         model = scalar_model("0", "1")
         cfg = SimConfig(dt=0.01, paths=20_000, seed=11, record_times=(1.0,))
         second = simulate_moment(model, Monomial((2,)), cfg)[0]
         assert abs(second.mean - 1.0) <= 4 * second.std_error
         fourth = simulate_moment(model, Monomial((4,)), cfg)[0]
         assert abs(fourth.mean - 3.0) <= 4 * fourth.std_error
+
+    def test_fourth_moment_pins_the_two_point_increment_law(self):
+        # E[xi^2] = 1 under both laws, so second moments cannot tell them
+        # apart; E[xi^4] is 1 for +-1 signs and 3 for a Gaussian.  The Euler
+        # iterate x' = a x + sqrt(dt) xi with a = 1 - dt gives
+        # E x'^4 = a^4 E x^4 + 6 a^2 dt E x^2 + dt^2 E xi^4.
+        dt, steps = 1 / 8, 4
+        a = 1 - dt
+        fourth = {}
+        for xi4 in (1, 3):
+            m2 = m4 = 0.0
+            for _ in range(steps):
+                m4 = a**4 * m4 + 6 * a * a * dt * m2 + dt * dt * xi4
+                m2 = a * a * m2 + dt
+            fourth[xi4] = m4
+        cfg = SimConfig(dt=dt, paths=100_000, seed=1, record_times=(steps * dt,), workers=1)
+        est = simulate_moment(load_benchmark("ou-env"), Monomial((4, 0)), cfg)[0]
+        assert abs(est.mean - fourth[1]) <= 4 * est.std_error
+        assert abs(est.mean - fourth[3]) > 8 * est.std_error
+
+    def test_one_step_square_is_dt_on_every_path(self):
+        # |dW| = sqrt(dt) on every path, so X^2 after one step has no spread.
+        dt = 1 / 64
+        cfg = SimConfig(dt=dt, paths=5000, seed=2, record_times=(dt,))
+        est = simulate_moment(scalar_model("0", "1"), Monomial((2,)), cfg)[0]
+        assert est.mean == pytest.approx(dt, rel=1e-15, abs=0)
+        assert est.std_error == 0.0
 
     def test_variance_scales_with_time(self):
         model = scalar_model("0", "1")
@@ -419,12 +449,14 @@ class TestBlowUp:
 def test_bias_shrinks_when_dt_halves():
     # E[x1^2](0.5) = (1 - e^{-1})/2 for the OU coordinate; the Euler scheme
     # has a positive O(dt) bias here, so halving dt should roughly halve it.
+    # One worker: the step loop holds the GIL, and estimates do not depend
+    # on the worker count.
     model = load_benchmark("ou-env")
     exact = (1 - math.exp(-1.0)) / 2
     biases = []
     for dt in (1 / 32, 1 / 64):
         cfg = SimConfig(
-            dt=dt, paths=1_000_000, seed=123, record_times=(0.5,), workers=4
+            dt=dt, paths=1_000_000, seed=123, record_times=(0.5,), workers=1
         )
         est = simulate_moment(model, Monomial((2, 0)), cfg)[0]
         biases.append(est.mean - exact)
