@@ -29,7 +29,13 @@ def main() -> None:
     parser.add_argument("--time", type=float, default=0.5)
     parser.add_argument("--paths", type=int, default=400_000)
     parser.add_argument("--seed", type=int, default=123)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="simulation threads (default 1: the step loop holds the GIL, "
+        "so more threads only add switching; estimates do not depend on it)",
+    )
     parser.add_argument(
         "--halvings", type=int, default=4, help="number of dt values (from 1/8)"
     )

@@ -93,7 +93,13 @@ def main() -> None:
     parser.add_argument("--paths", type=int, default=20_000)
     parser.add_argument("--dt", type=float, default=2e-3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="simulation threads (default 1: the step loop holds the GIL, "
+        "so more threads only add switching; estimates do not depend on it)",
+    )
     parser.add_argument(
         "--skip-table", action="store_true", help="only run the case studies"
     )

@@ -19,6 +19,7 @@ reader of standard output closes it early, as in `sdemoments table1 | head`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,7 +33,6 @@ from .closure import (
     ClosureBudget,
     DivergenceReport,
     build_closure,
-    system_rows,
 )
 from .model import ModelError, SdeModel, load_benchmark, load_model_file
 from .montecarlo import BlowUpError, SimConfig, SimulationError, simulate_functional
@@ -245,8 +245,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _format_combo(combo: dict[Monomial, Fraction], constant: Fraction) -> str:
-    parts = [f"{coeff} * m{mono}" for mono, coeff in combo.items()]
+def _format_row(row: tuple, constant: Fraction, labels: list[str]) -> str:
+    parts = [f"{coeff} * {labels[col]}" for col, coeff in row]
     if constant:
         parts.append(str(constant))
     return " + ".join(parts) if parts else "0"
@@ -272,8 +272,9 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     print(f"closure size: {result.dimension}")
     print(f"build time: {elapsed:.4f} s")
     if args.rows:
-        for beta, combo, constant in system_rows(result):
-            print(f"d/dt m{beta} = {_format_combo(combo, constant)}")
+        labels = [f"m{beta}" for beta in result.indices]
+        for label, row, constant in zip(labels, result.rows, result.vector_c):
+            print(f"d/dt {label} = {_format_row(row, constant, labels)}")
         print(f"m(0) = [{', '.join(str(v) for v in result.m0)}]")
     return EXIT_OK
 
@@ -609,7 +610,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
     parser = _ArgumentParser(
         prog="sdemoments",
         description="Exact moments of polynomial SDEs via moment closure.",

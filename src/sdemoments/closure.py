@@ -10,18 +10,21 @@ over the ordered index set S = [alpha, ...].  If the model is not closeable
 for alpha (e.g. a cubic drift feeding back into its own variable), the set
 grows forever; a budget turns that into a DivergenceReport with a witness
 chain of strictly increasing degrees.
+
+The worklist runs on exponent tuples and the generator's integer numerators
+over the model's one denominator; `Monomial`s and `Fraction`s are made only
+where the MomentSystem (or a DivergenceReport) is built.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
-from .generator import Generator, GeneratorImage
+from .generator import Generator
 from .model import SdeModel, initial_moment
 from .poly import Monomial
 
@@ -119,10 +122,11 @@ class MomentSystem:
     def to_json(self, out: TextIO, **extra) -> None:
         """Write json.dumps({**self.to_json_dict(), **extra}, indent=2) and a
         newline to `out`, byte for byte, one matrix row at a time; this is
-        what `closure --json` prints.  `extra` keys follow "initial".  A row
-        is one join over n copies of '"0"' with its nonzeros written in, so
-        the dense cells never exist all at once; the head and the tail keep
-        json.dumps for the model name's escaping and float formatting."""
+        what `closure --json` prints.  `extra` keys follow "initial".  Every
+        zero cell is the same 11 characters, so a row is slices of one
+        precomputed all-zero row with its nonzeros spliced in, and the dense
+        cells never exist; the head and the tail keep json.dumps for the model
+        name's escaping and float formatting."""
         head = json.dumps(
             {"model": self.model_name, "indices": [list(m.exponents) for m in self.indices]},
             indent=2,
@@ -135,37 +139,41 @@ class MomentSystem:
             },
             indent=2,
         )
+        zeros = ',\n      "0"' * self.dimension
         out.write(head[:-2] + ',\n  "matrix": [')
         sep = "\n"
         for row in self.rows:
-            cells = ['"0"'] * self.dimension
+            cells = []
+            done = 0
             for col, coeff in row:
-                cells[col] = f'"{coeff}"'
-            out.write(sep + "    [\n      " + ",\n      ".join(cells) + "\n    ]")
+                cells += (zeros[done : col * 11], f',\n      "{coeff}"')
+                done = (col + 1) * 11
+            cells.append(zeros[done:])
+            # [1:] drops the first cell's leading comma.
+            out.write(sep + "    [" + "".join(cells)[1:] + "\n    ]")
             sep = ",\n"
         out.write("\n  ]," + tail[1:] + "\n")
 
 
-def _witness_chain(
-    offender: Monomial, parents: dict[Monomial, Monomial | None]
-) -> tuple[Monomial, ...]:
-    """Parent-link chain ending at `offender`, trimmed to the maximal suffix
-    with strictly increasing total degree (the Example-2-style growth tail)."""
+def _divergence(
+    exceeded: str, offender: tuple[int, ...], parent: int, discovered: list, parents: list[int]
+) -> DivergenceReport:
+    """Report with the parent-link chain ending at `offender` (found in the
+    image of discovered[parent]), trimmed to the maximal suffix with strictly
+    increasing total degree (the Example-2-style growth tail)."""
     chain = [offender]
-    node = parents.get(offender)
-    while node is not None:
-        chain.append(node)
-        node = parents.get(node)
+    while parent >= 0:
+        chain.append(discovered[parent])
+        parent = parents[parent]
     chain.reverse()
     start = len(chain) - 1
-    while start > 0 and chain[start - 1].degree < chain[start].degree:
+    while start > 0 and sum(chain[start - 1]) < sum(chain[start]):
         start -= 1
-    return tuple(chain[start:])
-
-
-def _graded_lex(mono: Monomial) -> tuple[int, tuple[int, ...]]:
-    """Sort key of Monomial.__lt__, without its per-comparison checks."""
-    return sum(mono.exponents), mono.exponents
+    return DivergenceReport(
+        exceeded=exceeded,
+        witness_chain=tuple(map(Monomial._trusted, chain[start:])),
+        visited_count=len(discovered),
+    )
 
 
 def build_closure_multi(
@@ -176,7 +184,8 @@ def build_closure_multi(
     """Closure seeded by several target monomials at once (their union).
 
     The seeds occupy the leading positions of `indices` in the given order;
-    `seed_count` records how many there are.
+    `seed_count` records how many there are.  Each index becomes a
+    `Monomial`, and each distinct numerator a `Fraction`, once.
     """
     if budget is None:
         budget = ClosureBudget()
@@ -198,50 +207,46 @@ def build_closure_multi(
         raise BudgetError("targets already exceed the closure budget")
 
     gen = Generator(model)
-    discovered: list[Monomial] = list(seeds)
-    member = set(seeds)
-    parents: dict[Monomial, Monomial | None] = {s: None for s in seeds}
-    images: dict[Monomial, GeneratorImage] = {}
-    worklist: deque[Monomial] = deque(seeds)
+    zero = (0,) * model.dimension
+    # A FIFO by list position: discovered[head] is the next one to expand.
+    discovered = [s.exponents for s in seeds]
+    parents = [-1] * len(seeds)  # position of the index whose image found it
+    member = {zero, *discovered}  # the constant term never becomes an index
+    indices: list[Monomial] = []
+    images: list[Mapping[tuple[int, ...], int]] = []
 
-    while worklist:
-        beta = worklist.popleft()
+    head = 0
+    while head < len(discovered):
+        beta = Monomial._trusted(discovered[head])
+        indices.append(beta)
         image = gen.apply(beta)
-        images[beta] = image
+        images.append(image.numerators)
         # New monomials enter in descending graded-lex order within one image.
-        for gamma in sorted(image.linear_part, key=_graded_lex, reverse=True):
-            if gamma in member:
-                continue
-            if gamma.degree > budget.max_total_degree:
-                parents[gamma] = beta
-                return DivergenceReport(
-                    exceeded="degree",
-                    witness_chain=_witness_chain(gamma, parents),
-                    visited_count=len(discovered),
-                )
-            if len(discovered) >= budget.max_monomials:
-                parents[gamma] = beta
-                return DivergenceReport(
-                    exceeded="monomial-count",
-                    witness_chain=_witness_chain(gamma, parents),
-                    visited_count=len(discovered),
-                )
-            member.add(gamma)
-            parents[gamma] = beta
-            discovered.append(gamma)
-            worklist.append(gamma)
+        new = [g for g in image.numerators if g not in member]
+        new.sort(key=lambda g: (sum(g), g), reverse=True)
+        if new and sum(new[0]) > budget.max_total_degree:
+            return _divergence("degree", new[0], head, discovered, parents)
+        room = budget.max_monomials - len(discovered)
+        taken = new[:room]
+        member.update(taken)
+        discovered += taken
+        parents += [head] * len(taken)
+        if len(new) > room:
+            return _divergence("monomial-count", new[room], head, discovered, parents)
+        head += 1
 
-    indices = tuple(discovered)
-    position = {mono: i for i, mono in enumerate(indices)}
+    position = {g: i for i, g in enumerate(discovered)}
+    denominator = image.denominator
+    fraction = {v: Fraction(v, denominator) for v in {0}.union(*(n.values() for n in images))}
     rows = tuple(
-        tuple(sorted((position[gamma], c) for gamma, c in images[beta].linear_part.items()))
-        for beta in indices
+        tuple(sorted((position[g], fraction[v]) for g, v in n.items() if g != zero))
+        for n in images
     )
     return MomentSystem(
         model_name=model.name,
-        indices=indices,
+        indices=tuple(indices),
         rows=rows,
-        vector_c=tuple(images[beta].constant for beta in indices),
+        vector_c=tuple(fraction[n.get(zero, 0)] for n in images),
         m0=tuple(initial_moment(model.initial, mono) for mono in indices),
         seed_count=len(seeds),
     )

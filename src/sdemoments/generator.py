@@ -17,13 +17,17 @@ model is compiled once into a table of actions, one per polynomial term:
     term d x^gamma of (sigma sigma^T)_ij, i<j   d beta_i beta_j          at beta - e_i - e_j + gamma
 
 (the i<j entry counts twice because sigma sigma^T is symmetric).  Every
-coefficient is kept as an integer over one common denominator per model.
+coefficient is kept as an integer over one common denominator per model, and
+an image is those integer numerators keyed by exponent tuple: the closure
+works on them directly, and `Fraction`s and `Monomial`s are made only where
+the moment system is built, or when a caller reads `linear_part`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add
 from types import MappingProxyType
@@ -35,16 +39,30 @@ from .poly import Monomial, Polynomial
 
 @dataclass(frozen=True)
 class GeneratorImage:
-    """A x^beta as linear part over non-constant monomials plus a constant."""
+    """A x^beta = sum of numerators[gamma] / denominator * x^gamma.
 
-    linear_part: Mapping[Monomial, Fraction]
-    constant: Fraction
+    `numerators` holds the nonzero integer numerators, keyed by exponent
+    tuple, the zero tuple for the constant term; `linear_part` (over the
+    non-constant monomials) and `constant` are their `Fraction` views.
+    """
+
+    numerators: Mapping[tuple[int, ...], int]
+    denominator: int
+
+    @cached_property
+    def linear_part(self) -> Mapping[Monomial, Fraction]:
+        d = self.denominator
+        return MappingProxyType(
+            {Monomial._trusted(g): Fraction(v, d) for g, v in self.numerators.items() if any(g)}
+        )
+
+    @cached_property
+    def constant(self) -> Fraction:
+        return Fraction(sum(v for g, v in self.numerators.items() if not any(g)), self.denominator)
 
     def as_polynomial(self, dimension: int) -> Polynomial:
-        terms: dict[Monomial, Fraction] = dict(self.linear_part)
-        if self.constant:
-            terms[Monomial.constant(dimension)] = self.constant
-        return Polynomial(dimension, terms)
+        d = self.denominator
+        return Polynomial(dimension, {g: Fraction(v, d) for g, v in self.numerators.items()})
 
 
 def diffusion_product(model: SdeModel) -> tuple[tuple[Polynomial, ...], ...]:
@@ -110,12 +128,8 @@ class Generator:
                 for shift, k in terms:
                     key = tuple(map(add, e, shift))
                     acc[key] = get(key, 0) + factor * k
-        denominator = self._denominator
-        constant = Fraction(acc.pop((0,) * n, 0), denominator)
-        linear = {
-            Monomial._trusted(key): Fraction(v, denominator) for key, v in acc.items() if v
-        }
-        return GeneratorImage(linear_part=MappingProxyType(linear), constant=constant)
+        numerators = {key: v for key, v in acc.items() if v}
+        return GeneratorImage(MappingProxyType(numerators), self._denominator)
 
     def apply_polynomial(self, p: Polynomial) -> Polynomial:
         """Extension of A to polynomials by linearity."""

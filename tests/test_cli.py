@@ -9,6 +9,7 @@ paths without touching the bundled benchmarks.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -740,6 +741,40 @@ class TestUsage:
         )
         assert code == EXIT_USAGE
         assert "non-negative" in err
+
+
+class TestRepeatedCalls:
+    """main() parses with one parser per process; each call in a sequence
+    must print what the same call prints in a fresh process."""
+
+    SEQUENCE = [
+        ["closure", OU_ENV, "--alpha", "0,3", "--rows"],
+        ["moment", OU_ENV, "--alpha", "0,2", "--times", "0.5,1", "--closed-form"],
+        ["moment", OU_ENV, "--alpha", "0,2", "--order", "lifo"],
+        ["closure", OU_ENV, "--alpha", "0,3", "--rows"],
+    ]
+
+    @staticmethod
+    def masked(text: str) -> str:
+        return re.sub(r"(?m)^build time: [0-9.]+ s$", "build time: masked", text)
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        codes = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "sdemoments", *argv], capture_output=True, text=True
+            )
+            assert code == fresh.returncode
+            assert self.masked(got.out) == self.masked(fresh.stdout)
+            assert got.err == fresh.stderr
+            codes.append(code)
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
 
 
 class TestNumericFailure:

@@ -1,7 +1,12 @@
 """Closure construction: golden systems, sizes, order invariance, divergence."""
 
+import dataclasses
 import importlib.util
+import io
+import itertools
+import json
 import re
+from collections import deque
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -18,7 +23,8 @@ from sdemoments.closure import (
     check_closedness,
     system_rows,
 )
-from sdemoments.model import load_benchmark
+from sdemoments.generator import Generator
+from sdemoments.model import benchmark_names, initial_moment, load_benchmark
 from sdemoments.odesolve import linear_functional_moment
 from sdemoments.poly import Monomial, parse_polynomial
 
@@ -269,6 +275,44 @@ class TestSerialization:
         assert doc["matrix"][0][0] == "-4"
         assert doc["constant"][2] == "1"
 
+    @staticmethod
+    def assert_spliced(ms: MomentSystem, **extra) -> None:
+        out = io.StringIO()
+        ms.to_json(out, **extra)
+        assert out.getvalue() == json.dumps({**ms.to_json_dict(), **extra}, indent=2) + "\n"
+
+    def test_spliced_rows_of_a_one_index_closure(self):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((1, 0)))
+        assert ms.dimension == 1 and ms.rows == (((0, Fraction(-1)),),)
+        self.assert_spliced(ms)
+        self.assert_spliced(dataclasses.replace(ms, rows=((),)), build_seconds=0.5)
+
+    def test_spliced_rows_with_nonzeros_in_the_first_and_last_column(self):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((0, 2)))
+        n = ms.dimension
+        assert ms.rows[0][0][0] == 0 and ms.rows[-1][-1][0] == n - 1
+        self.assert_spliced(ms)
+        both_ends = ((0, Fraction(3)), (n - 1, Fraction(-5)))
+        self.assert_spliced(dataclasses.replace(ms, rows=(both_ends,) * n))
+
+    def test_spliced_rows_without_nonzeros(self):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((0, 2)))
+        self.assert_spliced(dataclasses.replace(ms, rows=((),) + ms.rows[1:]))
+        self.assert_spliced(dataclasses.replace(ms, rows=ms.rows[:3] + ((),) + ms.rows[4:]))
+        self.assert_spliced(dataclasses.replace(ms, rows=((),) * ms.dimension))
+
+    def test_spliced_negative_fractions(self):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((0, 2)))
+        rows = tuple(
+            tuple((col, Fraction(-7 * (col + 1), 3 + 2 * r)) for col, _ in row)
+            for r, row in enumerate(ms.rows)
+        )
+        self.assert_spliced(dataclasses.replace(ms, rows=rows), build_seconds=1e-05)
+
+    def test_spliced_model_name_that_json_escapes(self):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((0, 2)))
+        self.assert_spliced(dataclasses.replace(ms, model_name='M\u00fcller "OU" \\ x\n\t'))
+
     def test_index_of(self):
         model = load_benchmark("ou-env")
         ms = build_closure(model, Monomial((0, 2)))
@@ -325,3 +369,122 @@ def test_gene_export_matches_checked_in_bytes(capsys, flag, suffix):
     out = re.sub(r'"build_seconds": [0-9.e-]+', '"build_seconds": "masked"', out)
     out = re.sub(r"(?m)^build time: [0-9.]+ s$", "build time: masked", out)
     assert out == (DATA / f"closure_gene_0_0_0_0_2.{suffix}").read_text()
+
+
+# ---------------------------------------------------------------------------
+# The worklist against a plain reference: index order, rows and reports
+# ---------------------------------------------------------------------------
+
+
+def _reference_closure(model, seeds, budget):
+    """The worklist written plainly on Monomial and Fraction objects: a deque
+    over the keys of Generator.apply(...).linear_part, each image's new
+    monomials taken in descending graded-lex order (Monomial.__lt__)."""
+    gen = Generator(model)
+    seeds = list(dict.fromkeys(seeds))
+    discovered, parents, images, work = list(seeds), dict.fromkeys(seeds), {}, deque(seeds)
+    while work:
+        beta = work.popleft()
+        images[beta] = image = gen.apply(beta)
+        for gamma in sorted(image.linear_part, reverse=True):
+            if gamma in parents:
+                continue
+            parents[gamma] = beta
+            too_high = gamma.degree > budget.max_total_degree
+            if too_high or len(discovered) >= budget.max_monomials:
+                chain = [gamma]
+                while parents[chain[-1]] is not None:
+                    chain.append(parents[chain[-1]])
+                chain.reverse()
+                start = len(chain) - 1
+                while start and chain[start - 1].degree < chain[start].degree:
+                    start -= 1
+                exceeded = "degree" if too_high else "monomial-count"
+                return DivergenceReport(exceeded, tuple(chain[start:]), len(discovered))
+            discovered.append(gamma)
+            work.append(gamma)
+    position = {m: i for i, m in enumerate(discovered)}
+    rows = [sorted((position[g], c) for g, c in images[b].linear_part.items()) for b in discovered]
+    return MomentSystem(
+        model_name=model.name,
+        indices=tuple(discovered),
+        rows=tuple(map(tuple, rows)),
+        vector_c=tuple(images[b].constant for b in discovered),
+        m0=tuple(initial_moment(model.initial, b) for b in discovered),
+        seed_count=len(seeds),
+    )
+
+
+def _assert_same_result(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, DivergenceReport):
+        assert (got.exceeded, got.witness_chain, got.visited_count) == (
+            want.exceeded,
+            want.witness_chain,
+            want.visited_count,
+        )
+        return
+    assert got.indices == want.indices
+    assert got.rows == want.rows
+    assert (got.vector_c, got.m0, got.seed_count) == (want.vector_c, want.m0, want.seed_count)
+    assert got == want
+
+
+def _low_degree_targets(model):
+    return [
+        Monomial(e)
+        for e in itertools.product(range(4), repeat=model.dimension)
+        if 1 <= sum(e) <= 3
+    ]
+
+
+# Every degree <= 3 closure of the bundled models stays below total degree
+# 13; the ten that diverge trip either cap long before the default budget.
+DEGREE_CAP = ClosureBudget(max_total_degree=12)
+COUNT_CAP = ClosureBudget(max_monomials=60)
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_worklist_matches_the_reference_on_low_degree_targets(name):
+    model = load_benchmark(name)
+    for alpha in _low_degree_targets(model):
+        for budget in (DEGREE_CAP, COUNT_CAP):
+            want = _reference_closure(model, [alpha], budget)
+            _assert_same_result(build_closure(model, alpha, budget=budget), want)
+            _assert_same_result(build_closure_multi(model, [alpha], budget=budget), want)
+
+
+def test_the_ten_diverging_targets_report_like_the_reference():
+    diverging = []
+    for name in benchmark_names():
+        model = load_benchmark(name)
+        for alpha in _low_degree_targets(model):
+            got = build_closure(model, alpha, budget=DEGREE_CAP)
+            if isinstance(got, MomentSystem):
+                continue
+            diverging.append((name, alpha.exponents))
+            for budget, exceeded in ((DEGREE_CAP, "degree"), (COUNT_CAP, "monomial-count")):
+                report = build_closure(model, alpha, budget=budget)
+                assert report.exceeded == exceeded
+                _assert_same_result(report, _reference_closure(model, [alpha], budget))
+    coupled = [(1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1), (1, 2, 0), (3, 0, 0)]
+    assert sorted(diverging) == sorted(
+        [("coupled3d", e) for e in coupled] + [("double-well", (d,)) for d in (1, 2, 3)]
+    )
+
+
+def test_worklist_matches_the_reference_on_pool_functionals():
+    targets = _load_targets_module()
+    checked = 0
+    for entry in targets.load_pool():
+        if "functional" not in entry or entry["dim"] > 150:
+            continue
+        model = load_benchmark(entry["model"])
+        terms = parse_polynomial(entry["functional"], model.variables).terms
+        seeds = sorted((m for m in terms if m.degree), reverse=True)
+        for order in (seeds, seeds[::-1], seeds + seeds[:1]):
+            want = _reference_closure(model, order, ClosureBudget())
+            assert want.dimension == entry["dim"]
+            _assert_same_result(build_closure_multi(model, order), want)
+        checked += 1
+    assert checked == 19
