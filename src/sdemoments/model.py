@@ -25,6 +25,7 @@ Expressions follow the grammar in `poly`; rationals are strings such as "1",
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -59,9 +60,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse "1", "-11/8", or "0.3" (exactly 3/10) into a Fraction."""
     if not isinstance(text, str):
         raise ModelError(f"expected a rational string, got {text!r}")
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?", text):  # Fraction() also takes "1_0", "+1"
+        raise ModelError(f"invalid rational literal {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ModelError(f"invalid rational literal {text!r}: {exc}") from exc
 
 
@@ -69,10 +72,10 @@ def _parse_index_key(key: str, dimension: int) -> Monomial:
     body = key.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    try:
-        exponents = tuple(int(p) for p in body.split(","))
-    except ValueError as exc:
-        raise ModelError(f"invalid moment index key {key!r}") from exc
+    parts = body.split(",")
+    if not all(re.fullmatch(r"\s*-?[0-9]+\s*", p) for p in parts):  # int() also takes "1_0", "+1"
+        raise ModelError(f"invalid moment index key {key!r}")
+    exponents = tuple(int(p) for p in parts)
     if len(exponents) != dimension or any(e < 0 for e in exponents):
         raise ModelError(
             f"moment index key {key!r} must list {dimension} non-negative exponents"

@@ -7,13 +7,13 @@ The inhomogeneous system is embedded into the augmented homogeneous system
 so one matrix exponential covers both parts.  Three evaluation routes:
 
   * eval_numeric      — double precision at arbitrary sorted times; always
-                        available.  The state is carried forward between
-                        sorted times by the route of less estimated work:
-                        dense expm (scaling-and-squaring, Pade 13) once per
-                        distinct gap, about (squarings + 8) n^3 each, or
-                        scipy's expm_multiply on the CSR augmented matrix
-                        once per gap, about (6 ||aug gap||_1 + 20) sparse
-                        products each.
+                        available.  The state is carried forward through
+                        each run of equal gaps between the distinct sorted
+                        times by the route of less estimated work: dense
+                        expm (Pade 13, scaled to theta13) once per run,
+                        about (squarings + 8) n^3, or scipy's expm_multiply
+                        on the CSR augmented matrix, one interval call per
+                        run, or one call per gap where it estimates no norm.
   * solve_closed_form — exact solution, terms p(t) * exp(lambda t), at any
                         dimension, built fraction-free (int numerators over
                         one int denominator per term; Fractions only in the
@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import groupby
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -98,15 +99,23 @@ _PADE13 = (
 )
 
 
+_THETA13 = 5.371920351148152  # largest 1-norm for Pade 13 in double precision (Higham 2005)
+
+
+def _squarings(norm: float) -> int:
+    """Squarings that bring a 1-norm down to _THETA13."""
+    return 0 if norm <= _THETA13 else math.ceil(math.log2(norm / _THETA13))
+
+
 def expm(matrix: np.ndarray) -> np.ndarray:
-    """e^M in double precision; scaled so the Pade argument has 1-norm <= 1/2."""
+    """e^M in double precision; scaled so the Pade argument has 1-norm <= theta13."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm needs a square matrix")
     norm = np.linalg.norm(a, 1)
     if not np.isfinite(norm):
         raise OdeSolveError("matrix exponential input is not finite")
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
+    squarings = _squarings(norm)
     a = a / (2.0**squarings)
 
     b = _PADE13
@@ -150,31 +159,35 @@ def augmented_state0(ms: MomentSystem) -> list[Fraction]:
     return list(ms.m0) + [Fraction(1)]
 
 
-# Fixed cost of one sparse product (Python and call overhead) in nonzeros,
-# calibrated on gene, vehicles and ou-env closures of dim 300-700.
-_SPARSE_OVERHEAD = 4e5
+# Fitted with one BLAS thread on the pool closures of dim 290-700, in n^3
+# units of a dense product: expm_multiply costs _SPARSE_UNIT per unit of
+# ||aug t||_1 and 25 of those per call.  It estimates no norm up to
+# _NO_ESTIMATE, bound (3.13) of Al-Mohy & Higham 2011 at m_max 55, ell 2.
+_SPARSE_UNIT = 5e5
+_NO_ESTIMATE = 63.36
 
 
-def _sparse_is_cheaper(size: int, nnz: int, norm: float, gaps: Sequence[float]) -> bool:
+def _sparse_is_cheaper(size: int, norm: float, runs: Sequence[tuple[float, int]]) -> bool:
     """Whether expm_multiply stepping is estimated to cost less than dense
-    Pade 13 over these nonzero gaps.  Dense: (squarings + 8) * size^3 per
-    distinct gap.  Sparse: about 6 * ||aug * gap||_1 + 20 products per gap
-    (Al-Mohy & Higham 2011, section 3), each nnz plus a fixed overhead.
-    Ties, and no step at all, keep the dense route."""
-    dense = sum((np.ceil(np.log2(max(norm * gap, 0.5) / 0.5)) + 8) * size**3 for gap in set(gaps))
-    sparse = sum((6 * norm * gap + 20) * (nnz + _SPARSE_OVERHEAD) for gap in gaps)
-    return sparse < dense
+    Pade 13 over these runs of (gap, count) equal nonzero gaps.  Dense:
+    (squarings + 8) * size^3 per run.  Sparse: one call per gap while
+    ||aug * gap||_1 <= _NO_ESTIMATE, else one interval call per run.  Ties,
+    and no step at all, keep the dense route."""
+    dense = sum((_squarings(norm * gap) + 8) * size**3 for gap, _ in runs)
+    sparse = sum(norm * gap * k + 25 * (k if norm * gap <= _NO_ESTIMATE else 1) for gap, k in runs)
+    return sparse * _SPARSE_UNIT < dense
 
 
 def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     """m(t) for each t, shape (len(times), dimension); row components follow
-    ms.indices.  The augmented state is carried forward through the sorted
-    times; a zero gap leaves it as it is, so a t = 0 row is m0 exactly and a
-    repeated time repeats its row.  One route per call, by estimated work
-    (_sparse_is_cheaper): one dense expm(aug * gap) per distinct gap and a
-    matrix-vector step, or scipy's expm_multiply on aug in CSR form, never
-    densified, with scipy imported only then.  Raises OdeSolveError when the
-    state overflows."""
+    ms.indices.  The augmented state is carried from t = 0 through the
+    distinct sorted times, one maximal run of bit-equal gaps at a time, so a
+    t = 0 row is m0 exactly and a repeated time repeats its row.  One route
+    per call, by estimated work (_sparse_is_cheaper): one dense
+    expm(aug * gap) per run and a matrix-vector step per gap, or scipy's
+    expm_multiply on aug in CSR form, never densified, with scipy imported
+    only then.  Raises OdeSolveError, naming the first non-finite time, when
+    the state overflows."""
     times = list(times)
     if not all(0 <= t < math.inf for t in times):  # NaN fails too
         raise ValueError("times must be finite and non-negative")
@@ -183,8 +196,9 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     n = ms.dimension
     data, cols, indptr = _augmented_csr(ms)
     norm = float(np.bincount(cols, np.abs(data), n + 1).max())  # ||aug||_1
-    gaps = [t - s for s, t in zip([0.0] + times, times) if t != s]
-    sparse = _sparse_is_cheaper(n + 1, len(data), norm, gaps)
+    distinct = sorted({0.0, *times})
+    runs = [(gap, len(list(run))) for gap, run in groupby(np.diff(distinct))]
+    sparse = _sparse_is_cheaper(n + 1, norm, runs)
     if sparse:
         from scipy.sparse import csr_array
         from scipy.sparse.linalg import expm_multiply
@@ -192,24 +206,27 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
         aug = csr_array((data, cols, indptr), shape=(n + 1, n + 1))
     else:
         aug = _dense(data, cols, indptr)
-    state = np.array([float(v) for v in augmented_state0(ms)])
-    out = np.empty((len(times), n))
-    previous, step_gap, step = 0.0, None, None
+    out = np.empty((len(distinct), n + 1))  # the state at each distinct time
+    out[0] = [float(v) for v in augmented_state0(ms)]
+    done = 1
     # Overflow shows up as a non-finite state, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, t in enumerate(times):
-            gap = t - previous
-            previous = t
-            if gap and sparse:
-                state = expm_multiply(aug * gap, state)
-            elif gap:
-                if gap != step_gap:
-                    step, step_gap = expm(aug * gap), gap
-                state = step @ state
-            if not np.isfinite(state).all():
-                raise OdeSolveError(f"moment evaluation overflowed at t={t} (matrix norm {norm:.3g})")
-            out[row] = state[:n]
-    return out
+        for gap, count in runs:
+            state = out[done - 1]
+            if not sparse:
+                step = expm(aug * gap)
+                block = [state := step @ state for _ in range(count)]
+            elif norm * gap <= _NO_ESTIMATE:  # one call per gap
+                block = [state := expm_multiply(aug * gap, state) for _ in range(count)]
+            else:
+                block = expm_multiply(aug * gap, state, start=0, stop=count, num=count + 1)[1:]
+            out[done : done + count] = block
+            done += count
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        t = distinct[finite.argmin()]
+        raise OdeSolveError(f"moment evaluation overflowed at t={t} (matrix norm {norm:.3g})")
+    return out[np.searchsorted(distinct, times), :n]
 
 
 # ---------------------------------------------------------------------------

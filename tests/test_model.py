@@ -163,8 +163,16 @@ class TestMalformedInput:
                 {"initial": moments({"(1,0)": "1", "1,0": "2"})},
                 "moment index key '1,0' repeats the index (1,0)",
             ),
+            # int() and Fraction() read these as 10, 1, 1 and 1000.
+            ({"initial": moments({"(1_0,0)": "1"})}, "invalid moment index key '(1_0,0)'"),
+            ({"initial": moments({"(+1,0)": "1"})}, "invalid moment index key '(+1,0)'"),
+            ({"initial": moments({"(١,0)": "1"})}, "invalid moment index key '(١,0)'"),
+            ({"initial": {"kind": "point", "values": ["1_000", "0"]}}, "invalid rational literal '1_000'"),
         ],
-        ids=["bool-brownian-dim", "non-string-name", "empty-key-part", "one-moment-twice"],
+        ids=[
+            "bool-brownian-dim", "non-string-name", "empty-key-part", "one-moment-twice",
+            "underscore-exponent", "plus-exponent", "arabic-indic-exponent", "underscore-rational",
+        ],
     )
     def test_strict_fields(self, overrides, fragment):
         with pytest.raises(ModelError) as info:

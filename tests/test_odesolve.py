@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +115,13 @@ class TestExpm:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             expm(np.zeros((2, 3)))
+
+    def test_scaled_to_theta13(self):
+        # Pade 13 meets double precision up to a 1-norm of 5.37 (Higham
+        # 2005); scaling to 1/2 would square 11 times on ou-env (20,13).
+        assert odesolve._squarings(5.371920351148152) == 0
+        assert odesolve._squarings(5.38) == 1
+        assert odesolve._squarings(541.0) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +249,8 @@ class TestEvalNumeric:
 
 
 SPARSE_IS_CHEAPER = odesolve._sparse_is_cheaper
-OU_ENV_PATH = str(Path(__file__).resolve().parents[1] / "benchmarks" / "ou-env.json")
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+NUMERIC_TIMES = [0.5 * k for k in range(8)]
 
 
 def route_spy(monkeypatch, force=None):
@@ -255,6 +264,45 @@ def route_spy(monkeypatch, force=None):
 
     monkeypatch.setattr(odesolve, "_sparse_is_cheaper", choose)
     return chosen
+
+
+def exact_trajectory(ms, times):
+    """solve_closed_form_vector at each time, summed in 40-digit decimals
+    with one exponential per rate and time (ClosedForm.evaluate takes ten
+    times as long).  The terms of the stiff ou-env closures cancel by up to
+    8 digits, so 40 leave double precision to spare."""
+    forms = solve_closed_form_vector(ms)
+    rows = []
+    with localcontext(Context(prec=40)):
+        for t in times:
+            x, exps, row = Decimal(t), {}, []
+            for form in forms:
+                total = Decimal(0)
+                for lam, coeffs in form.terms:
+                    if lam not in exps:
+                        exps[lam] = (Decimal(lam.numerator) / lam.denominator * x).exp()
+                    poly = Decimal(0)
+                    for c in reversed(coeffs):
+                        poly = poly * x + Decimal(c.numerator) / c.denominator
+                    total += poly * exps[lam]
+                row.append(float(total))
+            rows.append(row)
+    return np.array(rows)
+
+
+def expm_multiply_spy(monkeypatch):
+    """Record the keyword arguments of each scipy expm_multiply call."""
+    import scipy.sparse.linalg
+
+    calls = []
+    real = scipy.sparse.linalg.expm_multiply
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
+    return calls
 
 
 class TestSparseRoute:
@@ -308,17 +356,112 @@ class TestSparseRoute:
         with pytest.raises(ValueError, match="times must be finite and non-negative"):
             eval_numeric(ms, times)
 
+    @pytest.mark.parametrize(
+        "model, alpha, dim, sparse",
+        [
+            ("vehicles", (1, 0, 4, 2), 294, True),
+            ("vehicles", (2, 0, 1, 6), 383, True),
+            ("gene", (0, 0, 0, 1, 3), 697, True),
+            ("ou-env", (31, 7), 295, False),
+            ("ou-env", (20, 13), 465, False),
+        ],
+    )
+    def test_route_follows_the_measured_cost(self, monkeypatch, model, alpha, dim, sparse):
+        # At the 8 benchmark times, with one BLAS thread: vehicles (1,0,4,2)
+        # 0.011 s sparse against 0.014 s dense, (2,0,1,6) 0.014 s against
+        # 0.034 s, gene 0.013 s against 0.19 s; ou-env (31,7) 0.017 s dense
+        # against 0.071 s, (20,13) 0.067 s against 0.076 s.
+        ms = build_closure(load_benchmark(model), Monomial(alpha))
+        assert ms.dimension == dim
+        chosen = route_spy(monkeypatch)
+        eval_numeric(ms, NUMERIC_TIMES)
+        assert chosen == [sparse]
+
+    @pytest.mark.parametrize(
+        "model, alpha, calls", [("gene", (0, 0, 0, 1, 3), 7), ("vehicles", (3, 1, 1, 5), 1)]
+    )
+    def test_interval_run_agrees_with_stepping_per_gap(self, monkeypatch, model, alpha, calls):
+        # gene's ||aug * gap||_1 is 24.8, so its run of 7 gaps takes a call
+        # each; vehicles' is 77.2, so its run takes one interval call.
+        ms = build_closure(load_benchmark(model), Monomial(alpha))
+        seen = expm_multiply_spy(monkeypatch)
+        default = eval_numeric(ms, NUMERIC_TIMES)
+        assert len(seen) == calls
+        monkeypatch.setattr(odesolve, "_NO_ESTIMATE", 0.0)
+        seen.clear()
+        interval = eval_numeric(ms, NUMERIC_TIMES)
+        assert seen == [{"start": 0, "stop": 7, "num": 8}]
+        monkeypatch.setattr(odesolve, "_NO_ESTIMATE", math.inf)
+        seen.clear()
+        per_gap = eval_numeric(ms, NUMERIC_TIMES)
+        assert seen == [{}] * 7
+        assert default.tolist() == (per_gap if calls == 7 else interval).tolist()
+        assert np.abs(interval - per_gap).max() <= 1e-12 * np.abs(per_gap).max()
+
+    @pytest.mark.parametrize("force", [False, True], ids=["dense", "sparse"])
+    def test_runs_and_a_repeated_time_match_stepping_one_time_at_a_time(self, monkeypatch, force):
+        # Distinct gaps 0.5, 0.5, 0.5, 0.2 and 0.3 (to rounding): one run of
+        # three, interval-stepped on the sparse route, and two single gaps.
+        times = [0.0, 0.5, 1.0, 1.0, 1.5, 1.7, 2.0]
+        ms = build_closure(load_benchmark("vehicles"), Monomial((3, 1, 1, 5)))
+        route_spy(monkeypatch, force=force)
+        values = eval_numeric(ms, times)
+        aug = odesolve._dense(*odesolve._augmented_csr(ms))
+        state = np.array([float(v) for v in odesolve.augmented_state0(ms)])
+        want = []
+        for s, t in zip([0.0] + times, times):
+            if t != s:
+                state = expm(aug * (t - s)) @ state
+            want.append(state[: ms.dimension])
+        want = np.array(want)
+        assert values[2].tolist() == values[3].tolist()
+        if force:
+            assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert values.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("force", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("gap, first", [(200.0, 800.0), (30.0, 720.0)], ids=["interval", "per-gap"])
+    def test_overflow_inside_a_run_names_the_first_non_finite_time(self, monkeypatch, force, gap, first):
+        # ||aug||_1 = 2: a run of 200 takes one interval call on the sparse
+        # route, a run of 30 one call per gap.  m2 = t e^t first overflows at
+        # t = 800 and t = 720 of these grids.
+        ms = synthetic_system([[1, 0], [1, 1]], [1, 1], constants=[1, 0])
+        route_spy(monkeypatch, force=force)
+        with pytest.raises(OdeSolveError, match=rf"overflowed at t={first} \(matrix norm 2\)"):
+            eval_numeric(ms, [gap * k for k in range(1, 36)])
+
+    @pytest.mark.parametrize("alpha, norm", [((31, 7), 1036), ((38, 6), 1276)])
+    def test_dense_route_is_exact_to_the_trajectory_scale_on_stiff_closures(self, monkeypatch, alpha, norm):
+        # Off the exact form, relative to the largest moment: Pade 13 scaled
+        # to theta13 5.7e-14 and 2.9e-13, scaled to 1/2 8.4e-13 and 8.1e-13;
+        # scipy.linalg.expm 1.1e-14 and 3.4e-12 (2.0e-6 on ou-env (20,13)).
+        ms = build_closure(load_benchmark("ou-env"), Monomial(alpha))
+        assert ms.dimension == 295
+        data, cols, _ = odesolve._augmented_csr(ms)
+        assert np.bincount(cols, np.abs(data)).max() == norm
+        chosen = route_spy(monkeypatch)
+        values = eval_numeric(ms, NUMERIC_TIMES)
+        assert chosen == [False]
+        exact = exact_trajectory(ms, NUMERIC_TIMES)
+        assert np.abs(values - exact).max() <= 1e-12 * np.abs(exact).max()
+
     def test_scipy_is_imported_by_the_sparse_route_only(self):
         # In a fresh process: neither the import nor a small closed-form
-        # moment may load scipy.sparse.linalg; a large sparse closure does.
+        # moment may load scipy.sparse.linalg, at the Table 1 sizes 85, 115
+        # and 120 neither; a large sparse closure does.
+        table1 = ["--times", "0,0.25,0.5,1,2,4"]  # the times of the exact benchmark
+        rows = [("ou-env", "0,2", []), ("gene", "0,0,0,0,2", table1), ("gene", "1,0,0,0,2", table1), ("ou-env", "0,10", table1)]
         code = (
             "import sys, contextlib, io\n"
             "import sdemoments\n"
             "from sdemoments.cli import main\n"
             "seen = ['scipy.sparse.linalg' in sys.modules]\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['moment', {OU_ENV_PATH!r}, '--alpha', '0,2', '--closed-form']) == 0\n"
-            "seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            f"for model, alpha, times in {rows!r}:\n"
+            f"    argv = ['moment', {str(BENCHMARKS)!r} + f'/{{model}}.json', '--alpha', alpha]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv + ['--closed-form'] + times) == 0\n"
+            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
             "ms = sdemoments.build_closure(sdemoments.load_benchmark('vehicles'), sdemoments.Monomial((3, 1, 1, 5)))\n"
             "sdemoments.eval_numeric(ms, [0.5])\n"
             "seen.append('scipy.sparse.linalg' in sys.modules)\n"
@@ -326,7 +469,7 @@ class TestSparseRoute:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False, True]"
+        assert proc.stdout.strip() == "[False, False, False, False, False, True]"
 
 
 # ---------------------------------------------------------------------------
