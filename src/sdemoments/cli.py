@@ -180,7 +180,8 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths (default 100000)")
     parser.add_argument("--dt", type=float, default=1e-3, help="Euler step (default 1e-3)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
-    parser.add_argument("--workers", type=int, default=1, help="simulation worker threads (default 1)")
+    parser.add_argument("--workers", type=int, default=1, help="simulation worker threads (default 1); "
+                        "estimates do not depend on it, and the step loop holds the GIL, so more are not faster")
 
 
 def _sim_config(args: argparse.Namespace, times: Sequence[float]) -> SimConfig:

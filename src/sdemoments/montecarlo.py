@@ -2,14 +2,17 @@
 
 Only moments at fixed times are estimated, so each Brownian increment is an
 equiprobable +-sqrt(dt), which keeps weak order 1 (Kloeden & Platen 1992,
-section 14.1).  Reproducibility contract: estimates are bitwise identical
-for a fixed (seed, paths, dt, record_times) regardless of the worker count.
-Paths are simulated in blocks whose boundaries depend on ``paths`` alone.
-Each block owns one counter-based Philox substream keyed by (seed, first
-path of the block); the increment signs are the bits of its raw 64-bit words
-in order, so the estimate at a time does not depend on any later record
-time.  Per-block partial sums are pairwise reductions and blocks are
-combined in fixed order with compensated summation.
+section 14.1).  Only the functional's dependency cone is stepped, so a
+blow-up outside it does not abort.  Reproducibility contract: estimates are
+bitwise identical for a fixed (seed, paths, dt, record_times) regardless of
+the worker count.  Paths are simulated in blocks whose boundaries depend on
+``paths`` alone.  Each block owns one counter-based Philox substream keyed
+by (seed, first path); the signs of all ``brownian_dim`` components are the
+bits of its raw 64-bit words in order, drawn per 64 steps and unpacked per
+8, so an estimate depends neither on later record times nor on the cone.
+Per-block partial sums are pairwise reductions, combined across blocks in
+fixed order with compensated summation.  The exact blow-up check runs only
+when the state's sum of squares exceeds the limit squared.
 """
 
 from __future__ import annotations
@@ -22,12 +25,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import SdeModel
+from .model import InitialCondition, SdeModel
 from .poly import Monomial, Polynomial
+from .prosolve import build_dependency_graph
 
 _PATH_BLOCK = 2048  # paths simulated together (vectorized)
 _STEP_CHUNK = 64  # steps per noise draw; a multiple of 64 uses whole words
+_SIGN_STEPS = 8  # steps per unpacking of signs; 8 steps are whole bytes
+# Row b: the bits of byte b, most significant first, as -1.0 (0) or 1.0 (1).
+_BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) * 2.0 - 1.0
 _BLOWUP_LIMIT = 1e12
+_DOT_SPAN = 8192  # elements per guard dot; BLAS threads longer ones, at a loss
 
 
 class SimulationError(RuntimeError):
@@ -162,49 +170,82 @@ def _simulate_block(
     rows[0] = 1.0
     rows[1 : n + 1] = start[:, None]
     state = rows[1 : n + 1]
+    parts = [state.reshape(-1)[i : i + _DOT_SPAN] for i in range(0, state.size, _DOT_SPAN)]
     scale = np.array([cfg.dt] * n + [math.sqrt(cfg.dt)] * len(ev.noise))
     coef = ev.coef * scale[:, None]
     increment = np.empty((len(coef), block_paths))
-    key = ((cfg.seed & (2**64 - 1)) << 64) | first_path
-    bits = np.random.Philox(key=key)
+    drift, noise = increment[:n], increment[n:]
+    # Noise rows for rows i0, i0 + d, ... add at once; else one by one, in order.
+    targets, sink = [i for i, _ in ev.noise], None
+    d = targets[1] - targets[0] if len(targets) > 1 else 1
+    if targets and d > 0 and targets == list(range(targets[0], targets[-1] + 1, d)):
+        sink = increment[targets[0] : targets[-1] + 1 : d]
+    columns = [k for _, k in ev.noise]  # the sign row of each noise row
+    columns = slice(None) if columns == list(range(ev.brownian_dim)) else columns
+    bits = np.random.Philox(key=((cfg.seed & (2**64 - 1)) << 64) | first_path)
     total_steps = record_steps[-1]
-    noise = np.empty((min(_STEP_CHUNK, total_steps), ev.brownian_dim, block_paths))
-    record_set = {s: idx for idx, s in enumerate(record_steps)}
+    chunk_bytes = ev.brownian_dim * block_paths  # of signs per _SIGN_STEPS steps
+    record_at = {s: idx for idx, s in enumerate(record_steps)}
     sums: list[tuple[float, float]] = [None] * len(record_steps)  # type: ignore[list-item]
 
     step = 0
     while True:
         _evaluate(ev, rows)
-        if step in record_set:
+        if (idx := record_at.get(step)) is not None:
             values = ev.functional @ rows
-            sums[record_set[step]] = (
-                float(np.add.reduce(values)),
-                float(np.add.reduce(values * values)),
-            )
+            sums[idx] = (float(np.add.reduce(values)), float(np.add.reduce(values * values)))
         if step == total_steps:
             return sums
-        s = step % _STEP_CHUNK
-        if s == 0:
-            flat = noise[: min(_STEP_CHUNK, total_steps - step)].reshape(-1)
-            raw = bits.random_raw(-(-flat.size // 64)).astype("<u8").view(np.uint8)
-            np.multiply(np.unpackbits(raw, count=flat.size), 2.0, out=flat)
-            flat -= 1.0
+        if (s := step % _SIGN_STEPS) == 0:
+            if step % _STEP_CHUNK == 0:
+                draw = min(_STEP_CHUNK, total_steps - step) * chunk_bytes  # bits
+                raw = bits.random_raw(-(-draw // 64)).astype("<u8").view(np.uint8)
+            first = step % _STEP_CHUNK * chunk_bytes // _SIGN_STEPS
+            signs = np.take(_BYTE_SIGNS, raw[first : first + chunk_bytes], axis=0).reshape(-1)
+            count = min(_SIGN_STEPS, total_steps - step) * chunk_bytes
+            signs = list(signs[:count].reshape(-1, ev.brownian_dim, block_paths)[:, columns])
         np.matmul(coef, rows, out=increment)
-        for e, (i, k) in enumerate(ev.noise, start=n):
-            np.multiply(increment[e], noise[s, k], out=increment[e])
-            increment[i] += increment[e]
-        state += increment[:n]
+        np.multiply(noise, signs[s], out=noise)
+        if sink is not None:
+            sink += noise
+        else:
+            for e, (i, _) in enumerate(ev.noise, start=n):
+                increment[i] += increment[e]
+        state += drift
         step += 1
-        worst = float(np.max(np.abs(state)))
-        # Written so that NaN, which compares false, also trips it.
-        if not worst <= _BLOWUP_LIMIT:
-            what = (
-                f"exceeded {_BLOWUP_LIMIT:.0e}" if math.isfinite(worst) else "is non-finite"
-            )
-            raise BlowUpError(
-                f"trajectory magnitude {worst:.3g} {what} "
-                f"at t={step * cfg.dt:.6g} (path block starting at {first_path})"
-            )
+        # Sound since max|x|^2 <= sum x^2; NaN compares false and trips both.
+        if not sum(np.dot(part, part) for part in parts) <= _BLOWUP_LIMIT * _BLOWUP_LIMIT:
+            worst = float(np.max(np.abs(state)))
+            if not worst <= _BLOWUP_LIMIT:
+                what = f"exceeded {_BLOWUP_LIMIT:.0e}" if math.isfinite(worst) else "is non-finite"
+                raise BlowUpError(f"trajectory magnitude {worst:.3g} {what} at t="
+                                  f"{step * cfg.dt:.6g} (path block starting at {first_path})")
+
+
+def _cone(model: SdeModel, functional: Polynomial) -> list[int]:
+    """The variables the functional's law depends on: its own, and all they reach backward."""
+    edges = build_dependency_graph(model).edges
+    cone = {v for mono in functional.terms for v, e in enumerate(mono.exponents) if e}
+    while more := {e.source for e in edges if e.target in cone} - cone:
+        cone |= more
+    return sorted(cone)
+
+
+def _restrict(
+    model: SdeModel, functional: Polynomial, cone: Sequence[int]
+) -> tuple[SdeModel, Polynomial]:
+    """The model and functional on the cone's variables; every Brownian
+    component stays, so each keeps its signs."""
+    def cut(poly: Polynomial) -> Polynomial:
+        return Polynomial(len(cone), {tuple(m.exponents[v] for v in cone): c for m, c in poly.terms.items()})
+    return SdeModel(
+        name=model.name,
+        variables=tuple(model.variables[v] for v in cone),
+        brownian_dim=model.brownian_dim,
+        drift=tuple(cut(model.drift[v]) for v in cone),
+        diffusion=tuple(tuple(map(cut, model.diffusion[v])) for v in cone),
+        initial=InitialCondition.from_point([model.initial.point[v] for v in cone]),
+    ), cut(functional)
 
 
 def _functional_estimates(
@@ -215,6 +256,7 @@ def _functional_estimates(
             "simulation needs a deterministic initial point; "
             "moment-table initial conditions cannot be sampled"
         )
+    model, functional = _restrict(model, functional, _cone(model, functional))
     start = np.array([float(v) for v in model.initial.point])
     record_steps = _record_steps(cfg)
     ev = _evaluator(model, functional)
@@ -222,11 +264,8 @@ def _functional_estimates(
     blocks = [(first, min(_PATH_BLOCK, cfg.paths - first))
               for first in range(0, cfg.paths, _PATH_BLOCK)]
 
-    def run(block: tuple[int, int]) -> list[tuple[float, float]]:
-        return _simulate_block(ev, cfg, start, block[0], block[1], record_steps)
-
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(run, blocks))
+        results = list(pool.map(lambda b: _simulate_block(ev, cfg, start, *b, record_steps), blocks))
 
     estimates = []
     for idx, t in enumerate(cfg.record_times):

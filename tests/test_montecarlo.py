@@ -3,23 +3,29 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdemoments.cli import main
 from sdemoments.model import InitialCondition, SdeModel, load_benchmark, load_model
 from sdemoments.montecarlo import (
     BlowUpError,
     SimConfig,
     SimulationError,
+    _cone,
     _evaluate,
     _evaluator,
     simulate_functional,
     simulate_moment,
 )
 from sdemoments.poly import Monomial, Polynomial, parse_polynomial
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((REPO / "tests" / "data" / "simulate_golden.json").read_text())["cases"]
 
 
 def scalar_model(drift, diffusion, x0="0", name="scalar"):
@@ -438,6 +444,195 @@ class TestBlowUp:
         cfg = SimConfig(dt=0.01, paths=256, record_times=(1.0,), seed=0)
         est = simulate_moment(model, Monomial((2,)), cfg)[0]
         assert math.isfinite(est.mean)
+
+
+def model_doc(variables, drift, diffusion, values, name="cut"):
+    return load_model(
+        json.dumps(
+            {
+                "name": name,
+                "variables": variables,
+                "brownian_dim": len(diffusion[0]),
+                "drift": drift,
+                "diffusion": diffusion,
+                "initial": {"kind": "point", "values": values},
+            }
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# Golden CLI outputs, recorded before the dependency cone and the 8-step sign
+# unpacking; the record times 0.013, 0.05 and 0.07 end off the 8- and 64-step
+# boundaries, and 2100 and 4100 paths leave a partial last block
+# ---------------------------------------------------------------------------
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize(
+        "case",
+        GOLDEN,
+        ids=[" ".join(c["argv"][1:4] + c["argv"][-5:-3]) for c in GOLDEN],
+    )
+    def test_simulate_json_is_byte_equal(self, case, capsys):
+        argv = list(case["argv"])
+        argv[1] = str(REPO / argv[1])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == case["stdout"]
+
+
+# ---------------------------------------------------------------------------
+# Dependency cone: only the variables the functional's law depends on
+# ---------------------------------------------------------------------------
+
+TWO_NOISE = load_model((REPO / "tests" / "data" / "two_noise.json").read_text())
+# Model, functional, the variables of its cone.
+CONES = [
+    ("gene", "x1^2", "x1"),
+    ("gene", "x2", "x1 x2"),
+    ("gene", "x3^2 - x1", "x1 x2 x3"),
+    ("gene", "x1*x5", "x1 x2 x3 x4 x5"),
+    ("vehicles", "v1", "v1"),
+    ("vehicles", "p1", "p1 v1"),
+    ("vehicles", "v2", "v1 v2"),
+    ("vehicles", "p1 - p2", "p1 v1 p2 v2"),
+    ("ou-env", "x1", "x1"),
+    ("ou-env", "x1^2", "x1"),
+    ("ou-env", "x2", "x1 x2"),
+    ("consensus", "x1", "x1 x2"),
+    ("oscillator", "x3^2", "x3"),
+    ("oscillator", "x1", "x1 x2 x3"),
+    ("coupled3d", "x2", "x2 x3"),
+    ("coupled3d", "x1", "x1 x2 x3"),
+    ("double-well", "x1^2", "x1"),
+    ("two-noise", "x1^2", "x1 x2"),
+    ("two-noise", "x3", "x3"),
+]
+
+
+class TestDependencyCone:
+    @pytest.mark.parametrize("name, functional, cone", CONES)
+    def test_cone_of_bundled_models(self, name, functional, cone):
+        model = TWO_NOISE if name == "two-noise" else load_benchmark(name)
+        poly = parse_polynomial(functional, model.variables)
+        assert [model.variables[v] for v in _cone(model, poly)] == cone.split()
+
+    @pytest.mark.parametrize(
+        "full, cut, functional",
+        [
+            (
+                load_benchmark("gene"),
+                model_doc(
+                    ["x1", "x2"],
+                    ["-x1 + 1", "1.2*x1 - 0.8*x2"],
+                    [["0.5", "0", "0", "0", "0"], ["0", "0.3*x1 + 0.4", "0", "0", "0"]],
+                    ["0", "0"],
+                ),
+                "x2^2 + x1",
+            ),
+            (
+                load_benchmark("vehicles"),
+                model_doc(
+                    ["v1", "p2", "v2"],
+                    ["-v1 + 1", "v2", "-v2 + v1^2 - 2*v1 + 3/2"],
+                    [["1", "0"], ["0", "0"], ["0", "1"]],
+                    ["0", "0", "0"],
+                ),
+                "p2",
+            ),
+            (
+                TWO_NOISE,
+                model_doc(
+                    ["x1", "x2"],
+                    ["-x1 + x2^2", "-x2 + 1"],
+                    [["0.5", "x1", "0"], ["0", "0.3", "0.2*x2"]],
+                    ["1", "0"],
+                ),
+                "x1^2",
+            ),
+        ],
+        ids=["gene", "vehicles", "two-noise"],
+    )
+    def test_full_and_hand_cut_model_agree_bitwise(self, full, cut, functional):
+        # The cut keeps every Brownian column, so each variable keeps its
+        # signs; 2100 paths leave a partial second block.
+        cfg = SimConfig(dt=1e-3, paths=2100, seed=17, record_times=(0.0, 0.013, 0.07))
+        got = simulate_functional(
+            full, dict(parse_polynomial(functional, full.variables).terms), cfg
+        )
+        want = simulate_functional(
+            cut, dict(parse_polynomial(functional, cut.variables).terms), cfg
+        )
+        assert got == want
+
+    SPLIT = dict(
+        variables=["x1", "x2"],
+        drift=["-x1", "x2^3 + x1"],
+        diffusion=[["1", "0"], ["0", "1"]],
+        values=["0", "2"],
+        name="split",
+    )
+    CFG = SimConfig(dt=0.01, paths=64, seed=3, record_times=(1.0,))
+
+    def test_blow_up_outside_the_cone_does_not_abort(self):
+        # x2 explodes, but the law of x1 does not depend on it.
+        got = simulate_moment(model_doc(**self.SPLIT), Monomial((2, 0)), self.CFG)
+        alone = model_doc(["x1"], ["-x1"], [["1", "0"]], ["0"])
+        assert got == simulate_moment(alone, Monomial((2,)), self.CFG)
+
+    def test_blow_up_inside_the_cone_still_aborts(self):
+        # The message and time are those of stepping every variable.
+        with pytest.raises(BlowUpError) as info:
+            simulate_moment(model_doc(**self.SPLIT), Monomial((0, 1)), self.CFG)
+        assert str(info.value) == (
+            "trajectory magnitude 1.81e+16 exceeded 1e+12 at t=0.15 (path block starting at 0)"
+        )
+
+    def test_constant_functional_needs_no_variable(self):
+        model = scalar_model("x1^3", "0", x0="2", name="explosive")
+        cfg = SimConfig(dt=0.1, paths=4, record_times=(5.0,), seed=0)
+        est = simulate_functional(model, {Monomial((0,)): Fraction(3)}, cfg)[0]
+        assert (est.mean, est.std_error) == (3.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The blow-up guard filters on the sum of squares, then checks max|x|
+# ---------------------------------------------------------------------------
+
+
+class TestGuardSoundness:
+    def test_one_path_crossing_the_limit_aborts_at_its_step(self):
+        # x' = x + 8 x dW with dt = 1/64 is x' = 2x or 0 exactly: a path
+        # survives k steps with k plus signs.  Count survivors from x0 = 1,
+        # then start where the last lone survivor reaches 1.5e12 at step K;
+        # at step K - 1 two or more paths at 7.5e11 already trip the filter
+        # (sum of squares > 1e24) without crossing the limit.
+        dt, paths = 1 / 64, 2048
+        times = tuple(k * dt for k in range(1, 16))
+
+        def doubling(x0):
+            return model_doc(["x1"], ["0"], [["8*x1"]], [x0], name="doubling")
+
+        cfg = SimConfig(dt=dt, paths=paths, seed=0, record_times=times)
+        means = simulate_moment(doubling("1"), Monomial((1,)), cfg)
+        survivors = [e.mean * paths / 2 ** (k + 1) for k, e in enumerate(means)]
+        step = survivors.index(1.0) + 1
+        assert survivors[step - 2] >= 2
+        x0 = Fraction(3, 2) * 10**12 / 2**step
+        with pytest.raises(BlowUpError) as info:
+            simulate_moment(doubling(f"{x0.numerator}/{x0.denominator}"), Monomial((1,)), cfg)
+        assert str(info.value) == (
+            f"trajectory magnitude 1.5e+12 exceeded 1e+12 at t={step * dt:.6g} "
+            "(path block starting at 0)"
+        )
+
+    def test_many_paths_just_under_the_limit_do_not_abort(self):
+        # 2048 paths at 0.99e12: the sum of squares is 2e27, the max is
+        # below 1e12, so the exact check clears the step.
+        model = scalar_model("0", "0", x0="990000000000")
+        cfg = SimConfig(dt=0.01, paths=2048, seed=0, record_times=(0.1,))
+        est = simulate_moment(model, Monomial((1,)), cfg)[0]
+        assert (est.mean, est.std_error) == (0.99e12, 0.0)
 
 
 # ---------------------------------------------------------------------------
