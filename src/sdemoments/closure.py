@@ -11,9 +11,9 @@ for alpha (e.g. a cubic drift feeding back into its own variable), the set
 grows forever; a budget turns that into a DivergenceReport with a witness
 chain of strictly increasing degrees.
 
-The worklist runs on exponent tuples and the generator's integer numerators
-over the model's one denominator; `Monomial`s and `Fraction`s are made only
-where the MomentSystem (or a DivergenceReport) is built.
+The worklist runs on the generator's integer monomial codes in base
+max_total_degree + reach + 1, where every exponent it meets is one digit; a
+code is decoded to its exponent tuple only for a new index or a witness.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
-from .generator import Generator
+from .generator import Generator, decode, encode
 from .model import SdeModel, initial_moment
 from .poly import Monomial
 
@@ -119,22 +119,16 @@ class MomentSystem:
         what `closure --json` prints.  `extra` keys follow "initial".  Every
         zero cell is the same 11 characters, so a row is slices of one
         precomputed all-zero row with its nonzeros spliced in, and the dense
-        cells never exist; the head and the tail keep json.dumps for the model
-        name's escaping and float formatting."""
-        head = json.dumps(
-            {"model": self.model_name, "indices": [list(m.exponents) for m in self.indices]},
-            indent=2,
-        )
-        tail = json.dumps(
-            {
-                "constant": [str(v) for v in self.vector_c],
-                "initial": [str(v) for v in self.m0],
-                **extra,
-            },
-            indent=2,
-        )
+        cells never exist.  All of it is plain string work (json.dumps with
+        an indent is pure Python), but for the model name and `extra`."""
+
+        def array(items, indent: str) -> str:  # as json.dumps(indent=2) nests it
+            return "[\n  " + indent + (",\n  " + indent).join(items) + "\n" + indent + "]"
+
+        indices = array((array(map(str, m.exponents), "    ") for m in self.indices), "  ")
+        out.write(f'{{\n  "model": {json.dumps(self.model_name)},\n  "indices": {indices},')
+        out.write('\n  "matrix": [')
         zeros = ',\n      "0"' * self.dimension
-        out.write(head[:-2] + ',\n  "matrix": [')
         sep = "\n"
         for row in self.rows:
             cells = []
@@ -146,7 +140,12 @@ class MomentSystem:
             # [1:] drops the first cell's leading comma.
             out.write(sep + "    [" + "".join(cells)[1:] + "\n    ]")
             sep = ",\n"
-        out.write("\n  ]," + tail[1:] + "\n")
+        out.write("\n  ]")
+        for key, values in (("constant", self.vector_c), ("initial", self.m0)):
+            out.write(f',\n  "{key}": ' + array((f'"{v}"' for v in values), "  "))
+        if extra:  # its keys without the braces, at the same indent
+            out.write("," + json.dumps(extra, indent=2)[1:-2])
+        out.write("\n}\n")
 
 
 def _divergence(
@@ -201,47 +200,52 @@ def build_closure_multi(
         raise BudgetError("targets already exceed the closure budget")
 
     gen = Generator(model)
-    zero = (0,) * model.dimension
-    # A FIFO by list position: discovered[head] is the next one to expand.
+    n = model.dimension
+    base = budget.max_total_degree + gen.reach + 1
+    table = gen.coded(base)
+    # A FIFO by list position: discovered[head] (code codes[head]) is the next one to expand.
     discovered = [s.exponents for s in seeds]
+    codes = [encode(e, base) for e in discovered]
     parents = [-1] * len(seeds)  # position of the index whose image found it
-    member = {zero, *discovered}  # the constant term never becomes an index
-    indices: list[Monomial] = []
-    images: list[Mapping[tuple[int, ...], int]] = []
+    member = set(codes)
+    images, constants = [], []  # the constant terms (code 0) are split off the images
 
     head = 0
     while head < len(discovered):
-        beta = Monomial._trusted(discovered[head])
-        indices.append(beta)
-        image = gen.apply(beta)
-        images.append(image.numerators)
+        image = gen.image(discovered[head], codes[head], table)
+        constants.append(image.pop(0, 0))
+        images.append(image)
         # New monomials enter in descending graded-lex order within one image.
-        new = [g for g in image.numerators if g not in member]
-        new.sort(key=lambda g: (sum(g), g), reverse=True)
-        if new and sum(new[0]) > budget.max_total_degree:
-            return _divergence("degree", new[0], head, discovered, parents)
+        new = sorted(image.keys() - member, reverse=True)
+        if new and new[0] // base**n > budget.max_total_degree:  # the leading digit is the degree
+            return _divergence("degree", decode(new[0], base, n), head, discovered, parents)
         room = budget.max_monomials - len(discovered)
         taken = new[:room]
         member.update(taken)
-        discovered += taken
+        codes += taken
+        discovered += [decode(g, base, n) for g in taken]
         parents += [head] * len(taken)
         if len(new) > room:
-            return _divergence("monomial-count", new[room], head, discovered, parents)
+            return _divergence("monomial-count", decode(new[room], base, n), head, discovered, parents)
         head += 1
 
-    position = {g: i for i, g in enumerate(discovered)}
-    denominator = image.denominator
-    fraction = {v: Fraction(v, denominator) for v in {0}.union(*(n.values() for n in images))}
+    indices = tuple(map(Monomial._trusted, discovered))
+    position = {g: i for i, g in enumerate(codes)}
+    fraction = {v: Fraction(v, gen.denominator) for v in {0}.union(constants, *map(dict.values, images))}
     rows = tuple(
-        tuple(sorted((position[g], fraction[v]) for g, v in n.items() if g != zero))
-        for n in images
+        tuple(sorted(zip(map(position.__getitem__, m), map(fraction.__getitem__, m.values()))))
+        for m in images
     )
+    zeros = [v for v, x in enumerate(model.initial.point or ()) if not x]  # m0 = 0 on them
     return MomentSystem(
         model_name=model.name,
-        indices=tuple(indices),
+        indices=indices,
         rows=rows,
-        vector_c=tuple(fraction[n.get(zero, 0)] for n in images),
-        m0=tuple(initial_moment(model.initial, mono) for mono in indices),
+        vector_c=tuple(map(fraction.__getitem__, constants)),
+        m0=tuple(
+            fraction[0] if any(e[v] for v in zeros) else initial_moment(model.initial, mono)
+            for e, mono in zip(discovered, indices)
+        ),
         seed_count=len(seeds),
     )
 

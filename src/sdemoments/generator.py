@@ -17,19 +17,18 @@ model is compiled once into a table of actions, one per polynomial term:
     term d x^gamma of (sigma sigma^T)_ij, i<j   d beta_i beta_j          at beta - e_i - e_j + gamma
 
 (the i<j entry counts twice because sigma sigma^T is symmetric).  Every
-coefficient is kept as an integer over one common denominator per model, and
-an image is those integer numerators keyed by exponent tuple: the closure
-works on them directly, and `Fraction`s and `Monomial`s are made only where
-the moment system is built, or when a caller reads `linear_part`.
+coefficient is an integer over one common denominator per model.  Monomials
+are int codes: in a base B above every exponent, x^beta is deg(beta) B^n +
+sum_v beta_v B^(n-1-v), so codes sort in graded-lex order and a term's key is
+code(beta) plus its shift's code.  `apply` decodes these images to tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
-from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -80,6 +79,16 @@ def diffusion_product(model: SdeModel) -> tuple[tuple[Polynomial, ...], ...]:
     return tuple(rows)
 
 
+def encode(exponents: tuple[int, ...], base: int) -> int:
+    """The code of an exponent or shift tuple; linear, so code(beta + shift) is a sum."""
+    return reduce(lambda code, e: code * base + e, exponents, sum(exponents))
+
+
+def decode(code: int, base: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple of a code whose n exponents are all below `base`."""
+    return tuple(code // base ** (n - 1 - v) % base for v in range(n))
+
+
 class Generator:
     """The generator of one model, compiled into an integer action table.
 
@@ -87,7 +96,8 @@ class Generator:
     (j = -1), beta_i (beta_i - 1)/2 for a diagonal diffusion action (j = i)
     and beta_i beta_j for an off-diagonal one (i < j); `terms` lists
     (shift, k) pairs, each adding factor * k / denominator at beta + shift.
-    A nonzero factor keeps beta + shift non-negative.
+    A nonzero factor keeps every exponent of beta + shift in [0, max(beta) +
+    `reach`], where `reach` is the largest shift component (at least 0).
     """
 
     def __init__(self, model: SdeModel):
@@ -98,7 +108,7 @@ class Generator:
         groups = [(i, -1, model.drift[i], (i,)) for i in range(n)]
         groups += [(i, j, ssT[i][j], (i, j)) for i in range(n) for j in range(i, n)]
         groups = [g for g in groups if not g[2].is_zero()]
-        self._denominator = lcm(*(c.denominator for g in groups for c in g[2].terms.values()))
+        self.denominator = lcm(*(c.denominator for g in groups for c in g[2].terms.values()))
         actions = []
         for i, j, p, lowered in groups:
             terms = []
@@ -106,18 +116,20 @@ class Generator:
                 shift = list(gamma.exponents)
                 for v in lowered:
                     shift[v] -= 1
-                terms.append((tuple(shift), c.numerator * (self._denominator // c.denominator)))
+                terms.append((tuple(shift), c.numerator * (self.denominator // c.denominator)))
             actions.append((i, j, tuple(terms)))
         self._actions = tuple(actions)
+        self.reach = max([0, *(x for _, _, terms in actions for shift, _ in terms for x in shift)])
 
-    def apply(self, beta: Monomial) -> GeneratorImage:
-        n = self.model.dimension
-        if beta.dimension != n:
-            raise ValueError(f"monomial {beta} has dimension {beta.dimension}, model has {n}")
-        e = beta.exponents
-        acc: dict[tuple[int, ...], int] = {}
+    def coded(self, base: int) -> list:
+        """The action table with each shift replaced by its code in `base`."""
+        return [(i, j, tuple((encode(s, base), k) for s, k in ts)) for i, j, ts in self._actions]
+
+    def image(self, e: tuple[int, ...], code: int, table: list) -> dict[int, int]:
+        """A x^e's nonzero numerators by code; `code` is e's in the base of `table`."""
+        acc: dict[int, int] = {}
         get = acc.get
-        for i, j, terms in self._actions:
+        for i, j, terms in table:
             if j < 0:
                 factor = e[i]
             elif i == j:
@@ -125,11 +137,20 @@ class Generator:
             else:
                 factor = e[i] * e[j]
             if factor:
-                for shift, k in terms:
-                    key = tuple(map(add, e, shift))
+                for offset, k in terms:
+                    key = code + offset
                     acc[key] = get(key, 0) + factor * k
-        numerators = {key: v for key, v in acc.items() if v}
-        return GeneratorImage(MappingProxyType(numerators), self._denominator)
+        return {key: v for key, v in acc.items() if v} if 0 in acc.values() else acc
+
+    def apply(self, beta: Monomial) -> GeneratorImage:
+        n = self.model.dimension
+        if beta.dimension != n:
+            raise ValueError(f"monomial {beta} has dimension {beta.dimension}, model has {n}")
+        e = beta.exponents
+        base = max(e) + self.reach + 1
+        image = self.image(e, encode(e, base), self.coded(base))
+        numerators = {decode(key, base, n): v for key, v in image.items()}
+        return GeneratorImage(MappingProxyType(numerators), self.denominator)
 
     def apply_polynomial(self, p: Polynomial) -> Polynomial:
         """Extension of A to polynomials by linearity."""

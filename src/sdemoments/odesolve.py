@@ -629,10 +629,13 @@ def _block_forms(
     block a_il - r_i a_pl (i, l != p) with forcing f_i - r_i f_p from
     m0_i - r_i m0_p, whose eigenvalues are the remaining roots.  Then
     z' = lam z + sum_l a_pl y_l + f_p, z(0) = m0_p, is one scalar solve; at
-    resonance its degree rises, so Jordan structure needs no special case."""
+    resonance its degree rises, so Jordan structure needs no special case.  A
+    block with zero forcing and start stays zero, with no spectrum computed."""
     k = len(a)
     if k == 1:
         return [_scalar_form(a[0][0], forcings[0], start[0])]
+    if not any(start) and not any(any(nums) for f in forcings for _, nums in f.values()):
+        return [{} for _ in range(k)]
     if roots is None:
         roots = _rational_spectrum(a)
     lam = roots[0]

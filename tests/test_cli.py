@@ -568,7 +568,7 @@ class TestTable1:
             "consensus    (1,1)              3      3  yes  <t>  float",
             "vehicles     (0,0,2,0)         13     13  yes  <t>  exact",
             "oscillator   (0,1,2)            6      6  yes  <t>  float",
-            "coupled3d    (2,2,0)            3      3   no  <t>  float",
+            "coupled3d    (2,2,0)            3      3   no  <t>  exact",
             "overall: ok",
         ]
 

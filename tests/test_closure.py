@@ -23,8 +23,8 @@ from sdemoments.closure import (
     check_closedness,
     system_rows,
 )
-from sdemoments.generator import Generator
-from sdemoments.model import benchmark_names, initial_moment, load_benchmark
+from sdemoments.generator import Generator, encode
+from sdemoments.model import benchmark_names, initial_moment, load_benchmark, load_model
 from sdemoments.odesolve import linear_functional_moment
 from sdemoments.poly import Monomial, parse_polynomial
 
@@ -513,3 +513,77 @@ def test_worklist_matches_the_reference_on_pool_functionals():
             _assert_same_result(build_closure_multi(model, order), want)
         checked += 1
     assert checked == 19
+
+
+# ---------------------------------------------------------------------------
+# The integer monomial codes: wide models, digit bounds, cancelled keys
+# ---------------------------------------------------------------------------
+
+
+def _model(drift, diffusion, point, name="coded"):
+    n = len(drift)
+    return load_model(
+        json.dumps(
+            {
+                "name": name,
+                "variables": [f"x{i + 1}" for i in range(n)],
+                "brownian_dim": len(diffusion[0]),
+                "drift": drift,
+                "diffusion": diffusion,
+                "initial": {"kind": "point", "values": point},
+            }
+        )
+    )
+
+
+def test_codes_wider_than_64_bits_match_the_reference():
+    # A linear chain of 10 variables: its codes exceed 2^63, and the point
+    # start mixes zero and nonzero coordinates.
+    drift = ["1 - x1"] + [f"x{i} - x{i + 1}" for i in range(1, 10)]
+    diffusion = [["1/2"] if i % 3 else [f"x{i + 1}"] for i in range(10)]
+    model = _model(drift, diffusion, ["1/2", "0", "2", "0", "-3", "0", "0", "1", "0", "5/7"])
+    reach = Generator(model).reach
+    assert (ClosureBudget().max_total_degree + reach + 1) ** model.dimension > 2**63
+    alphas = [Monomial((0,) * 9 + (2,)), Monomial((1, 0, 1) + (0,) * 6 + (1,))]
+    for alpha in alphas:
+        for budget in (ClosureBudget(), ClosureBudget(max_monomials=30)):
+            want = _reference_closure(model, [alpha], budget)
+            _assert_same_result(build_closure(model, alpha, budget=budget), want)
+    ms = build_closure_multi(model, alphas)
+    assert ms.dimension > 30 and any(ms.m0) and not all(ms.m0)
+    _assert_same_result(ms, _reference_closure(model, alphas, ClosureBudget()))
+
+
+@pytest.mark.parametrize("cap", [4, 6, 9])
+def test_a_degree_offender_above_the_cap_by_the_reach_keeps_its_digits(cap):
+    # x2' = x2^3 adds x2^2 (reach 2) per step.  From a member x2^cap the
+    # offender x2^(cap + 2) fills the largest digit, base - 1; a carry would
+    # show up in x1's digit.
+    model = _model(["-x1", "x2^3"], [["0"], ["0"]], ["1", "1"])
+    assert Generator(model).reach == 2
+    budget = ClosureBudget(max_total_degree=cap)
+    for alpha, offender in (((0, 2 - cap % 2), (0, cap + 2)), ((1, 1 + cap % 2), (1, cap + 1))):
+        report = build_closure(model, Monomial(alpha), budget=budget)
+        assert report.exceeded == "degree"
+        assert report.witness_chain[-1] == Monomial(offender)
+        _assert_same_result(report, _reference_closure(model, [Monomial(alpha)], budget))
+
+
+def test_a_key_whose_terms_cancel_never_becomes_an_index():
+    # On x1 x2 the drift -1 of x1 gives -x2, and the cross diffusion term
+    # x2 of (sigma sigma^T)_12 gives +x2: the key of x2 cancels.
+    model = _model(["-1", "-x2"], [["1", "0"], ["x2", "0"]], ["1", "3"])
+    gen = Generator(model)
+    base = ClosureBudget().max_total_degree + gen.reach + 1
+    e = (1, 1)
+    raw = {}  # the image before cancelled keys are dropped
+    for i, j, terms in gen.coded(base):
+        factor = e[i] if j < 0 else e[i] * (e[i] - 1) // 2 if i == j else e[i] * e[j]
+        for offset, k in terms:
+            key = encode(e, base) + offset
+            raw[key] = raw.get(key, 0) + factor * k
+    assert raw[encode((0, 1), base)] == 0
+    assert encode((0, 1), base) not in gen.image(e, encode(e, base), gen.coded(base))
+    ms = build_closure(model, Monomial(e))
+    assert ms.indices == (Monomial(e),) and ms.rows == (((0, Fraction(-1)),),)
+    _assert_same_result(ms, _reference_closure(model, [Monomial(e)], ClosureBudget()))

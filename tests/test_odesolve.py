@@ -805,6 +805,22 @@ class TestTriangularPath:
         coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(factor)]
         assert sympy.Poly(coeffs, sympy.Symbol("x")).ground_roots() == {}
 
+    def test_a_block_with_zero_data_solves_to_zero_without_its_spectrum(self):
+        # coupled3d (0,2,1) is one 4x4 block whose characteristic polynomial
+        # has no rational root, but its start and forcing are zero: m(t) = 0.
+        ms = build_closure(load_benchmark("coupled3d"), Monomial((0, 2, 1)))
+        assert block_sizes(ms) == [4] and not any(ms.m0) and not any(ms.vector_c)
+        with pytest.raises(ClosedFormUnsupported):
+            odesolve._rational_spectrum([list(row) for row in ms.matrix_a])
+        forms = solve_closed_form_vector(ms)
+        assert [f.terms for f in forms] == [()] * 4
+        assert_exact_solution(ms, forms)
+        # A zero block beside a live component, spectrum +-sqrt(2).
+        ms = synthetic_system([[-1, 0, 0], [0, 0, 1], [0, 2, 0]], [1, 0, 0], constants=[1, 0, 0])
+        forms = solve_closed_form_vector(ms)
+        assert [f.terms == () for f in forms] == [False, True, True]
+        assert_exact_solution(ms, forms)
+
     def test_resonance_raises_the_degree(self):
         # m1' = -m1, m2' = -m2 + m1, m(0) = (1, 0): m1 = e^{-t} forces m2 at
         # its own rate, so m2 = t e^{-t}.

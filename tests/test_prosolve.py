@@ -375,15 +375,15 @@ def test_certificate_reads_the_stored_rows():
 def test_certify_applies_the_generator_once_per_index(monkeypatch, capsys):
     # the closure build is the only place the generator runs
     calls = []
-    original = Generator.apply
+    original = Generator.image
 
-    def counting(self, beta):
-        calls.append(beta)
-        return original(self, beta)
+    def counting(self, e, code, table):
+        calls.append(e)
+        return original(self, e, code, table)
 
-    monkeypatch.setattr(Generator, "apply", counting)
+    monkeypatch.setattr(Generator, "image", counting)
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "ou-env.json"
     code = main(["moment", str(path), "--alpha", "0,4", "--certify", "--times", "1"])
     assert code == 0
     assert "closure size: 24" in capsys.readouterr().out
-    assert len(calls) == 24
+    assert len(calls) == len(set(calls)) == 24
