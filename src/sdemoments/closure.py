@@ -87,6 +87,12 @@ class MomentSystem:
         return len(self.indices)
 
     @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The SCCs of A's off-diagonal pattern, each after every SCC it reaches."""
+        from .prosolve import _tarjan_sccs  # prosolve imports this module
+        return tuple(_tarjan_sccs(self.dimension, lambda i: [j for j, _ in self.rows[i] if j != i]))
+
+    @cached_property
     def matrix_a(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense n x n view of A, derived from `rows` on first use."""
         return tuple(map(tuple, self._dense(Fraction(0), lambda v: v)))

@@ -10,10 +10,10 @@ so one matrix exponential covers both parts.  Three evaluation routes:
                         available.  The state is carried forward through
                         each run of equal gaps between the distinct sorted
                         times by the route of less estimated work: dense
-                        expm (Pade 13, scaled to theta13) once per run,
-                        about (squarings + 8) n^3, or scipy's expm_multiply
-                        on the CSR augmented matrix, one interval call per
-                        run, or one call per gap where it estimates no norm.
+                        expm (Pade 13, scaled to theta13) once per run, on
+                        the matrix in SCC order, with triangular products
+                        when it is triangular; or a truncated Taylor series
+                        per gap on the CSR matrix (Al-Mohy & Higham 2011).
   * solve_closed_form — exact solution, terms p(t) * exp(lambda t), at any
                         dimension, built fraction-free (int numerators over
                         one int denominator per term; Fractions only in the
@@ -51,7 +51,6 @@ import numpy as np
 from .closure import ClosureBudget, DivergenceReport, MomentSystem, build_closure_multi
 from .model import SdeModel
 from .poly import Monomial
-from .prosolve import _tarjan_sccs
 
 Scalar = Union[Fraction, float, complex]
 
@@ -100,6 +99,7 @@ _PADE13 = (
 
 
 _THETA13 = 5.371920351148152  # largest 1-norm for Pade 13 in double precision (Higham 2005)
+_LEAF = 128  # a triangular product or inverse up to this size is one dense call
 
 
 def _squarings(norm: float) -> int:
@@ -107,8 +107,35 @@ def _squarings(norm: float) -> int:
     return 0 if norm <= _THETA13 else math.ceil(math.log2(norm / _THETA13))
 
 
+def _tri_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for upper triangular x and y in about a third of the flops, split at n/2."""
+    n, m = len(x), len(x) // 2
+    if n <= _LEAF:
+        return x @ y
+    out = np.zeros_like(x)
+    out[:m, :m] = _tri_mul(x[:m, :m], y[:m, :m])
+    out[m:, m:] = _tri_mul(x[m:, m:], y[m:, m:])
+    out[:m, m:] = x[:m, :m] @ y[:m, m:] + x[:m, m:] @ y[m:, m:]
+    return out
+
+
+def _tri_inv(p: np.ndarray) -> np.ndarray:
+    """p^-1 for upper triangular p, by the same split: X12 = -X11 p12 X22."""
+    n, m = len(p), len(p) // 2
+    if n <= _LEAF:
+        return np.linalg.inv(p)
+    out = np.zeros_like(p)
+    out[:m, :m] = x11 = _tri_inv(p[:m, :m])
+    out[m:, m:] = x22 = _tri_inv(p[m:, m:])
+    out[:m, m:] = -(x11 @ p[:m, m:]) @ x22
+    return out
+
+
 def expm(matrix: np.ndarray) -> np.ndarray:
-    """e^M in double precision; scaled so the Pade argument has 1-norm <= theta13."""
+    """e^M in double precision; scaled so the Pade argument has 1-norm <= theta13.
+    An upper triangular M takes triangular products and inverse, and the exact
+    diagonal exp(m_ii 2^-j) is written back after the Pade step and each
+    squaring (Al-Mohy & Higham 2009, Code Fragment 2.1)."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm needs a square matrix")
@@ -117,17 +144,23 @@ def expm(matrix: np.ndarray) -> np.ndarray:
         raise OdeSolveError("matrix exponential input is not finite")
     squarings = _squarings(norm)
     a = a / (2.0**squarings)
+    upper = not np.tril(a, -1).any()
+    mul = _tri_mul if upper and len(a) > _LEAF else np.matmul
 
     b = _PADE13
     eye = np.eye(a.shape[0])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    a2 = mul(a, a)
+    a4 = mul(a2, a2)
+    a6 = mul(a2, a4)
+    u = mul(a, mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    # v - u is well conditioned at 1-norm <= theta13 (Higham 2005): invert it outright.
+    r = mul(_tri_inv(v - u), v + u) if mul is _tri_mul else np.linalg.solve(v - u, v + u)
+    diagonals = np.exp(np.outer(2.0 ** np.arange(squarings + 1), np.diag(a))) if upper else None
+    for k in range(squarings + 1):
+        r = mul(r, r) if k else r
+        if upper:
+            r.flat[:: len(r) + 1] = diagonals[k]  # that of e^(a 2^k), exactly
     return r
 
 
@@ -139,43 +172,59 @@ ExactMatrix = list[list[Fraction]]
 _ZERO = Fraction(0)
 
 
-def _augmented_csr(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[[A, c], [0, 0]] in double precision as CSR (data, columns, row pointers)."""
+def _augmented(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """[[A, c], [0, 0]] in floats as coordinates (data, rows, columns) in `order`, returned
+    last: the SCC blocks of ms last to first, then the constant, so block upper triangular.
+    Each coefficient object (the closure shares them) is converted once."""
     n = ms.dimension
-    entries = [list(row) + ([(n, c)] if c else []) for row, c in zip(ms.rows, ms.vector_c)]
-    data = np.array([float(v) for row in entries for _, v in row])
-    cols = np.array([j for row in entries for j, _ in row], dtype=np.int64)
-    return data, cols, np.cumsum([0] + [len(row) for row in entries] + [0])
+    order = np.array([i for block in reversed(ms.blocks) for i in block] + [n])
+    rows, constants = ms.rows + ((),), ms.vector_c + (_ZERO,)
+    entries = [list(rows[i]) + ([(n, constants[i])] if constants[i] else []) for i in order]
+    values = [v for row in entries for _, v in row]
+    floats = {k: float(v) for k, v in {id(v): v for v in values}.items()}
+    data = np.array([floats[id(v)] for v in values])
+    cols = np.argsort(order)[np.array([j for row in entries for j, _ in row], dtype=np.int64)]
+    return data, np.repeat(np.arange(n + 1), [len(row) for row in entries]), cols, order
 
 
-def _dense(data: np.ndarray, cols: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """The square matrix of CSR arrays, dense."""
-    aug = np.zeros((len(indptr) - 1, len(indptr) - 1))
-    aug[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), cols] = data
-    return aug
+# Al-Mohy & Higham 2011, Table 3.1: theta_m bounds the ||t A||_1 at which m Taylor terms of
+# e^{tA} b meet 2^-53.  A gap takes s steps of degree m, least m * s, s = ceil(||t A||_1 / theta_m).
+_THETA = dict(zip([*range(1, 31), 35, 40, 45, 50, 55], [
+    2.29e-16, 2.58e-8, 1.39e-5, 3.4e-4, 2.4e-3, 9.07e-3, 2.38e-2, 5.0e-2, 8.96e-2, 0.144, 0.214, 0.3, 0.4,
+    0.514, 0.641, 0.781, 0.931, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31,
+    3.54, 4.7, 6.0, 7.2, 8.5, 9.9]))
 
 
-def augmented_state0(ms: MomentSystem) -> list[Fraction]:
-    return list(ms.m0) + [Fraction(1)]
+def _taylor_step(aug, state: np.ndarray, gap: float, mu: float, m: int, s: int) -> np.ndarray:
+    """e^{gap (aug + mu I)} state by Algorithm 3.2 of Al-Mohy & Higham 2011:
+    s steps of the degree-m Taylor series of e^{gap aug / s}, each cut off
+    once two successive terms fall below 2^-53 of the sum, times e^{mu gap / s}."""
+    for _ in range(s):
+        term, c1 = state, np.abs(state).max()
+        for j in range(1, m + 1):
+            term = aug @ term * (gap / (s * j))
+            c2 = np.abs(term).max()
+            state = state + term
+            if c1 + c2 <= 2.0**-53 * np.abs(state).max():
+                break
+            c1 = c2
+        state = np.exp(mu * gap / s) * state
+    return state
 
 
-# Fitted with one BLAS thread on the pool closures of dim 290-700, in n^3
-# units of a dense product: expm_multiply costs _SPARSE_UNIT per unit of
-# ||aug t||_1 and 25 of those per call.  It estimates no norm up to
-# _NO_ESTIMATE, bound (3.13) of Al-Mohy & Higham 2011 at m_max 55, ell 2.
-_SPARSE_UNIT = 5e5
-_NO_ESTIMATE = 63.36
+# Fitted with one BLAS thread on the 93 pool closures of dim 290-700, in units
+# of (squarings + 8) n^3 of the triangular Pade 13: Taylor steps cost
+# _SPARSE_UNIT per unit of ||aug gap||_1, and _SPARSE_GAP units more per gap.
+_SPARSE_UNIT = 6e5
+_SPARSE_GAP = 10
 
 
 def _sparse_is_cheaper(size: int, norm: float, runs: Sequence[tuple[float, int]]) -> bool:
-    """Whether expm_multiply stepping is estimated to cost less than dense
-    Pade 13 over these runs of (gap, count) equal nonzero gaps.  Dense:
-    (squarings + 8) * size^3 per run.  Sparse: one call per gap while
-    ||aug * gap||_1 <= _NO_ESTIMATE, else one interval call per run.  Ties,
-    and no step at all, keep the dense route."""
+    """Whether Taylor stepping is estimated to cost less than dense Pade 13
+    over these runs of (gap, count) equal nonzero gaps, norm = ||aug||_1.
+    Ties, and no step at all, keep the dense route."""
     dense = sum((_squarings(norm * gap) + 8) * size**3 for gap, _ in runs)
-    sparse = sum(norm * gap * k + 25 * (k if norm * gap <= _NO_ESTIMATE else 1) for gap, k in runs)
-    return sparse * _SPARSE_UNIT < dense
+    return sum((norm * gap + _SPARSE_GAP) * k for gap, k in runs) * _SPARSE_UNIT < dense
 
 
 def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
@@ -183,50 +232,53 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     ms.indices.  The augmented state is carried from t = 0 through the
     distinct sorted times, one maximal run of bit-equal gaps at a time, so a
     t = 0 row is m0 exactly and a repeated time repeats its row.  One route
-    per call, by estimated work (_sparse_is_cheaper): one dense
-    expm(aug * gap) per run and a matrix-vector step per gap, or scipy's
-    expm_multiply on aug in CSR form, never densified, with scipy imported
-    only then.  Raises OdeSolveError, naming the first non-finite time, when
-    the state overflows."""
+    per call, by estimated work (_sparse_is_cheaper): one expm(aug * gap) per
+    run on aug in SCC order, then a matrix-vector step per gap; or a Taylor
+    step per gap on aug - mu I, mu = trace / size, in CSR form (only then is
+    scipy.sparse imported).  Raises OdeSolveError, naming the first
+    non-finite time, when the state overflows."""
     times = list(times)
     if not all(0 <= t < math.inf for t in times):  # NaN fails too
         raise ValueError("times must be finite and non-negative")
     if sorted(times) != times:
         raise ValueError("times must be sorted ascending")
     n = ms.dimension
-    data, cols, indptr = _augmented_csr(ms)
-    norm = float(np.bincount(cols, np.abs(data), n + 1).max())  # ||aug||_1
+    data, rows, cols, order = _augmented(ms)
+    norm = np.bincount(cols, np.abs(data), n + 1).max()  # ||aug||_1
     distinct = sorted({0.0, *times})
     runs = [(gap, len(list(run))) for gap, run in groupby(np.diff(distinct))]
     sparse = _sparse_is_cheaper(n + 1, norm, runs)
     if sparse:
         from scipy.sparse import csr_array
-        from scipy.sparse.linalg import expm_multiply
 
-        aug = csr_array((data, cols, indptr), shape=(n + 1, n + 1))
+        mu = data[rows == cols].sum() / (n + 1)
+        eye = np.arange(n + 1)  # the shift, summed into the diagonal
+        coo = (np.r_[data, np.full(n + 1, -mu)], (np.r_[rows, eye], np.r_[cols, eye]))
+        aug = csr_array(coo, shape=(n + 1, n + 1))
+        shifted = np.bincount(aug.indices, np.abs(aug.data), n + 1).max()  # ||aug - mu I||_1
     else:
-        aug = _dense(data, cols, indptr)
-    out = np.empty((len(distinct), n + 1))  # the state at each distinct time
-    out[0] = [float(v) for v in augmented_state0(ms)]
+        aug = np.zeros((n + 1, n + 1))
+        aug[rows, cols] = data
+    out = np.ones((len(distinct), n + 1))  # the state at each distinct time, in `order`
+    out[0] = np.array([*map(float, ms.m0), 1.0])[order]
     done = 1
     # Overflow shows up as a non-finite state, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for gap, count in runs:
-            state = out[done - 1]
-            if not sparse:
-                step = expm(aug * gap)
-                block = [state := step @ state for _ in range(count)]
-            elif norm * gap <= _NO_ESTIMATE:  # one call per gap
-                block = [state := expm_multiply(aug * gap, state) for _ in range(count)]
+            if sparse:
+                degrees = ((m, max(1, math.ceil(shifted * gap / theta))) for m, theta in _THETA.items())
+                m, s = min(degrees, key=lambda p: p[0] * p[1])
             else:
-                block = expm_multiply(aug * gap, state, start=0, stop=count, num=count + 1)[1:]
-            out[done : done + count] = block
+                step = expm(aug * gap)
+            for row in range(done, done + count):
+                state = _taylor_step(aug, out[row - 1], gap, mu, m, s) if sparse else step @ out[row - 1]
+                out[row, :n] = state[:n]  # the constant stays 1: the shift keeps it only to rounding
             done += count
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         t = distinct[finite.argmin()]
         raise OdeSolveError(f"moment evaluation overflowed at t={t} (matrix norm {norm:.3g})")
-    return out[np.searchsorted(distinct, times), :n]
+    return out[np.searchsorted(distinct, times)][:, np.argsort(order)[:n]]
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +720,11 @@ def _block_forms(
 
 
 def _solve_forms(ms: MomentSystem) -> list[Form]:
-    """Every component of m(t).  Tarjan emits each strongly connected
+    """Every component of m(t).  ms.blocks lists each strongly connected
     component of A's off-diagonal pattern after every component it reaches:
     their solved forms, with c, are the block's forcing."""
-    deps = [[j for j, _ in row if j != i] for i, row in enumerate(ms.rows)]
     forms: list[Form] = [{}] * ms.dimension
-    for block in _tarjan_sccs(ms.dimension, deps.__getitem__):
+    for block in ms.blocks:
         local = {i: p for p, i in enumerate(block)}
         a = [[_ZERO] * len(block) for _ in block]
         forcings: list[Form] = []
@@ -724,7 +775,10 @@ _COEFF_PRUNE = 1e-12
 
 
 def _float_spectral_data(ms: MomentSystem) -> list[tuple[complex, np.ndarray]]:
-    values, vectors = np.linalg.eig(_dense(*_augmented_csr(ms)))
+    data, rows, cols, order = _augmented(ms)
+    aug = np.zeros((len(order), len(order)))
+    aug[order[rows], order[cols]] = data  # in index order
+    values, vectors = np.linalg.eig(aug)
     order = np.lexsort((values.imag, values.real))[::-1]
     values = values[order]
     vectors = vectors[:, order]
@@ -744,7 +798,7 @@ def _float_spectral_data(ms: MomentSystem) -> list[tuple[complex, np.ndarray]]:
             f"eigenvector basis is ill-conditioned (cond ~ {condition:.3g}); "
             "the numeric spectrum may be defective"
         )
-    v0 = np.array([float(v) for v in augmented_state0(ms)], dtype=complex)
+    v0 = np.array([*map(float, ms.m0), 1.0], dtype=complex)
     mix = np.linalg.solve(vectors, v0)
     return [(complex(values[i]), vectors[:, i] * mix[i]) for i in range(len(values))]
 

@@ -1,5 +1,6 @@
 """Linear ODE solving: matrix exponential, exact/float spectra, closed forms."""
 
+import dataclasses
 import json
 import math
 import random
@@ -115,6 +116,33 @@ class TestExpm:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             expm(np.zeros((2, 3)))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=129, max_value=260),
+        st.sampled_from([0.5, 2.5]),
+    )
+    def test_triangular_above_the_leaf_matches_the_exact_forms(self, seed, n, t):
+        # Upper triangular and larger than a leaf, so the recursive products
+        # and inverse run; six diagonal values, so eigenvalues repeat and the
+        # exact forms carry polynomial factors; 5 to 8 squarings.
+        assert n > odesolve._LEAF
+        rng = random.Random(seed)
+        rates = [F(-20), F(-3), F(-1), F(-1, 2), F(0), F(1, 4)]
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            matrix[i][i] = rng.choice(rates)
+            for j in rng.sample(range(i + 1, n), min(2, n - i - 1)):
+                matrix[i][j] = rng.randint(-5, 5)
+        m0 = [rng.randint(-2, 2) for _ in range(n)]
+        constants = [rng.randint(-2, 2) for _ in range(n)]
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = np.array(matrix, dtype=float)
+        aug[:n, n] = constants
+        got = (expm(aug * t) @ np.array(m0 + [1.0]))[:n]
+        want = exact_trajectory(synthetic_system(matrix, m0, constants=constants), [t])[0]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_scaled_to_theta13(self):
         # Pade 13 meets double precision up to a 1-norm of 5.37 (Higham
@@ -249,6 +277,7 @@ class TestEvalNumeric:
 
 
 SPARSE_IS_CHEAPER = odesolve._sparse_is_cheaper
+TAYLOR_STEP = odesolve._taylor_step
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 NUMERIC_TIMES = [0.5 * k for k in range(8)]
 
@@ -290,21 +319,6 @@ def exact_trajectory(ms, times):
     return np.array(rows)
 
 
-def expm_multiply_spy(monkeypatch):
-    """Record the keyword arguments of each scipy expm_multiply call."""
-    import scipy.sparse.linalg
-
-    calls = []
-    real = scipy.sparse.linalg.expm_multiply
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
-    return calls
-
-
 class TestSparseRoute:
     TIMES = [0.0, 0.25, 0.5, 0.5, 1.0, 2.0, 3.5]
 
@@ -322,7 +336,7 @@ class TestSparseRoute:
         scale = np.abs(dense).max()
         assert np.abs(sparse - dense).max() <= 1e-12 * scale
         # Point-wise the error is larger where a moment is small against the
-        # scale: 2.4e-11 on gene, 3.6e-12 on vehicles.
+        # scale: 2.4e-11 on gene, 5.9e-13 on vehicles.
         nonzero = dense != 0
         pointwise = np.abs(sparse - dense)[nonzero] / np.abs(dense[nonzero])
         assert pointwise.max() <= 1e-9
@@ -368,51 +382,56 @@ class TestSparseRoute:
     )
     def test_route_follows_the_measured_cost(self, monkeypatch, model, alpha, dim, sparse):
         # At the 8 benchmark times, with one BLAS thread: vehicles (1,0,4,2)
-        # 0.011 s sparse against 0.014 s dense, (2,0,1,6) 0.014 s against
-        # 0.034 s, gene 0.013 s against 0.19 s; ou-env (31,7) 0.017 s dense
-        # against 0.071 s, (20,13) 0.067 s against 0.076 s.
+        # 0.0068 s sparse against 0.011 s dense, (2,0,1,6) 0.010 s against
+        # 0.021 s, gene 0.0078 s against 0.090 s; ou-env (31,7) 0.012 s dense
+        # against 0.048 s, (20,13) 0.041 s against 0.057 s.
         ms = build_closure(load_benchmark(model), Monomial(alpha))
         assert ms.dimension == dim
         chosen = route_spy(monkeypatch)
         eval_numeric(ms, NUMERIC_TIMES)
         assert chosen == [sparse]
 
-    @pytest.mark.parametrize(
-        "model, alpha, calls", [("gene", (0, 0, 0, 1, 3), 7), ("vehicles", (3, 1, 1, 5), 1)]
-    )
-    def test_interval_run_agrees_with_stepping_per_gap(self, monkeypatch, model, alpha, calls):
-        # gene's ||aug * gap||_1 is 24.8, so its run of 7 gaps takes a call
-        # each; vehicles' is 77.2, so its run takes one interval call.
+    @pytest.mark.parametrize("model, alpha", [("gene", (0, 0, 0, 1, 3)), ("vehicles", (3, 1, 1, 5))])
+    def test_a_run_of_equal_gaps_equals_single_steps(self, monkeypatch, model, alpha):
+        # The run of 7 gaps of 0.5 takes 7 Taylor steps of one degree; each
+        # is the step of a run of one from the state before it (a float
+        # converts to a Fraction and back exactly).
         ms = build_closure(load_benchmark(model), Monomial(alpha))
-        seen = expm_multiply_spy(monkeypatch)
-        default = eval_numeric(ms, NUMERIC_TIMES)
-        assert len(seen) == calls
-        monkeypatch.setattr(odesolve, "_NO_ESTIMATE", 0.0)
-        seen.clear()
-        interval = eval_numeric(ms, NUMERIC_TIMES)
-        assert seen == [{"start": 0, "stop": 7, "num": 8}]
-        monkeypatch.setattr(odesolve, "_NO_ESTIMATE", math.inf)
-        seen.clear()
-        per_gap = eval_numeric(ms, NUMERIC_TIMES)
-        assert seen == [{}] * 7
-        assert default.tolist() == (per_gap if calls == 7 else interval).tolist()
-        assert np.abs(interval - per_gap).max() <= 1e-12 * np.abs(per_gap).max()
+        chosen = route_spy(monkeypatch)
+        degrees = []
+
+        def step(aug, state, gap, mu, m, s):
+            degrees.append((gap, m, s))
+            return TAYLOR_STEP(aug, state, gap, mu, m, s)
+
+        monkeypatch.setattr(odesolve, "_taylor_step", step)
+        run = eval_numeric(ms, NUMERIC_TIMES)
+        assert chosen == [True] and len(degrees) == 7
+        for k in range(1, len(NUMERIC_TIMES)):
+            start = dataclasses.replace(ms, m0=tuple(map(Fraction, run[k - 1])))
+            assert eval_numeric(start, [0.5])[0].tolist() == run[k].tolist()
+        assert chosen == [True] * len(NUMERIC_TIMES) and len(degrees) == 14 and len(set(degrees)) == 1
 
     @pytest.mark.parametrize("force", [False, True], ids=["dense", "sparse"])
     def test_runs_and_a_repeated_time_match_stepping_one_time_at_a_time(self, monkeypatch, force):
         # Distinct gaps 0.5, 0.5, 0.5, 0.2 and 0.3 (to rounding): one run of
-        # three, interval-stepped on the sparse route, and two single gaps.
+        # three and two single gaps.
         times = [0.0, 0.5, 1.0, 1.0, 1.5, 1.7, 2.0]
         ms = build_closure(load_benchmark("vehicles"), Monomial((3, 1, 1, 5)))
         route_spy(monkeypatch, force=force)
         values = eval_numeric(ms, times)
-        aug = odesolve._dense(*odesolve._augmented_csr(ms))
-        state = np.array([float(v) for v in odesolve.augmented_state0(ms)])
+        # The reference steps in the SCC order the dense route takes, where
+        # aug is upper triangular, and is put back in index order at the end.
+        data, rows, cols, order = odesolve._augmented(ms)
+        aug = np.zeros((ms.dimension + 1,) * 2)
+        aug[rows, cols] = data
+        assert not np.tril(aug, -1).any()
+        state = np.array([float(v) for v in ms.m0] + [1.0])[order]
         want = []
         for s, t in zip([0.0] + times, times):
             if t != s:
                 state = expm(aug * (t - s)) @ state
-            want.append(state[: ms.dimension])
+            want.append(state[np.argsort(order)][: ms.dimension])
         want = np.array(want)
         assert values[2].tolist() == values[3].tolist()
         if force:
@@ -423,53 +442,61 @@ class TestSparseRoute:
     @pytest.mark.parametrize("force", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("gap, first", [(200.0, 800.0), (30.0, 720.0)], ids=["interval", "per-gap"])
     def test_overflow_inside_a_run_names_the_first_non_finite_time(self, monkeypatch, force, gap, first):
-        # ||aug||_1 = 2: a run of 200 takes one interval call on the sparse
-        # route, a run of 30 one call per gap.  m2 = t e^t first overflows at
-        # t = 800 and t = 720 of these grids.
+        # m2 = t e^t first overflows at t = 800 and t = 720 of these grids,
+        # inside a run of 35 equal gaps.
         ms = synthetic_system([[1, 0], [1, 1]], [1, 1], constants=[1, 0])
         route_spy(monkeypatch, force=force)
         with pytest.raises(OdeSolveError, match=rf"overflowed at t={first} \(matrix norm 2\)"):
             eval_numeric(ms, [gap * k for k in range(1, 36)])
 
-    @pytest.mark.parametrize("alpha, norm", [((31, 7), 1036), ((38, 6), 1276)])
-    def test_dense_route_is_exact_to_the_trajectory_scale_on_stiff_closures(self, monkeypatch, alpha, norm):
-        # Off the exact form, relative to the largest moment: Pade 13 scaled
-        # to theta13 5.7e-14 and 2.9e-13, scaled to 1/2 8.4e-13 and 8.1e-13;
-        # scipy.linalg.expm 1.1e-14 and 3.4e-12 (2.0e-6 on ou-env (20,13)).
+    @pytest.mark.parametrize(
+        "alpha, norm, dim", [((31, 7), 1036, 295), ((38, 6), 1276, 295), ((24, 12), 1177, 468)]
+    )
+    def test_dense_route_is_exact_to_the_trajectory_scale_on_stiff_closures(self, monkeypatch, alpha, norm, dim):
+        # Off the exact form, relative to each moment's largest value over
+        # the times: 1.1e-15, 1.2e-15 and 9.8e-16 with the triangular Pade
+        # 13 and its exact diagonal; 3.6e-13, 2.9e-13 and 7.6e-12 with dense
+        # products.  scipy.linalg.expm is 2.0e-6 off on ou-env (20,13).
         ms = build_closure(load_benchmark("ou-env"), Monomial(alpha))
-        assert ms.dimension == 295
-        data, cols, _ = odesolve._augmented_csr(ms)
+        assert ms.dimension == dim
+        data, _, cols, _ = odesolve._augmented(ms)
         assert np.bincount(cols, np.abs(data)).max() == norm
         chosen = route_spy(monkeypatch)
         values = eval_numeric(ms, NUMERIC_TIMES)
         assert chosen == [False]
         exact = exact_trajectory(ms, NUMERIC_TIMES)
-        assert np.abs(values - exact).max() <= 1e-12 * np.abs(exact).max()
+        # A moment that is identically zero (scale 0) must come out zero.
+        assert (np.abs(values - exact).max(axis=0) <= 1e-14 * np.abs(exact).max(axis=0)).all()
 
-    def test_scipy_is_imported_by_the_sparse_route_only(self):
+    def test_only_scipy_sparse_is_ever_imported(self):
         # In a fresh process: neither the import nor a small closed-form
-        # moment may load scipy.sparse.linalg, at the Table 1 sizes 85, 115
-        # and 120 neither; a large sparse closure does.
+        # moment loads any scipy module, at the Table 1 sizes 85, 115 and 120
+        # neither; a large sparse closure loads scipy.sparse, but never
+        # scipy.sparse.linalg or scipy.linalg.
         table1 = ["--times", "0,0.25,0.5,1,2,4"]  # the times of the exact benchmark
         rows = [("ou-env", "0,2", []), ("gene", "0,0,0,0,2", table1), ("gene", "1,0,0,0,2", table1), ("ou-env", "0,10", table1)]
         code = (
             "import sys, contextlib, io\n"
             "import sdemoments\n"
             "from sdemoments.cli import main\n"
-            "seen = ['scipy.sparse.linalg' in sys.modules]\n"
+            "def loaded():  # any scipy module, scipy.sparse, scipy.linalg or scipy.sparse.linalg\n"
+            "    names = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "    linalg = any(m.startswith(('scipy.linalg', 'scipy.sparse.linalg')) for m in names)\n"
+            "    return [bool(names), 'scipy.sparse' in names, linalg]\n"
+            "seen = [loaded()]\n"
             f"for model, alpha, times in {rows!r}:\n"
             f"    argv = ['moment', {str(BENCHMARKS)!r} + f'/{{model}}.json', '--alpha', alpha]\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv + ['--closed-form'] + times) == 0\n"
-            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "    seen.append(loaded())\n"
             "ms = sdemoments.build_closure(sdemoments.load_benchmark('vehicles'), sdemoments.Monomial((3, 1, 1, 5)))\n"
-            "sdemoments.eval_numeric(ms, [0.5])\n"
-            "seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "sdemoments.eval_numeric(ms, [0.5, 1.0])\n"
+            "seen.append(loaded())\n"
             "print(seen)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False, False, False, False, True]"
+        assert proc.stdout.strip() == str([[False, False, False]] * 5 + [[True, True, False]])
 
 
 # ---------------------------------------------------------------------------
