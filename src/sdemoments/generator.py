@@ -65,18 +65,16 @@ class GeneratorImage:
 
 
 def diffusion_product(model: SdeModel) -> tuple[tuple[Polynomial, ...], ...]:
-    """The n x n matrix sigma sigma^T, entry (i,j) = sum_k sigma_ik * sigma_jk."""
+    """The n x n matrix sigma sigma^T, entry (i,j) = sum_k sigma_ik * sigma_jk,
+    summed over the k at which both factors are nonzero."""
     n = model.dimension
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Polynomial.zero(n)
-            for k in range(model.brownian_dim):
-                acc = acc + model.diffusion[i][k] * model.diffusion[j][k]
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = [[Polynomial.zero(n)] * n for _ in range(n)]
+    for k in range(model.brownian_dim):
+        column = [(i, row[k]) for i, row in enumerate(model.diffusion) if not row[k].is_zero()]
+        for i, s in column:
+            for j, t in column:
+                rows[i][j] = rows[i][j] + s * t
+    return tuple(map(tuple, rows))
 
 
 def encode(exponents: tuple[int, ...], base: int) -> int:

@@ -12,8 +12,11 @@ so one matrix exponential covers both parts.  Three evaluation routes:
                         times by the route of less estimated work: dense
                         expm (Pade 13, scaled to theta13) once per run, on
                         the matrix in SCC order, with triangular products
-                        when it is triangular; or a truncated Taylor series
-                        per gap on the CSR matrix (Al-Mohy & Higham 2011).
+                        when it is triangular, and a run whose gap is 2^j
+                        times the one before squares that run's step j
+                        times, sharing its Pade evaluation; or a truncated
+                        Taylor series per gap on the CSR matrix (Al-Mohy &
+                        Higham 2011).
   * solve_closed_form — exact solution, terms p(t) * exp(lambda t), at any
                         dimension, built fraction-free (int numerators over
                         one int denominator per term; Fractions only in the
@@ -156,11 +159,19 @@ def expm(matrix: np.ndarray) -> np.ndarray:
     v = mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     # v - u is well conditioned at 1-norm <= theta13 (Higham 2005): invert it outright.
     r = mul(_tri_inv(v - u), v + u) if mul is _tri_mul else np.linalg.solve(v - u, v + u)
-    diagonals = np.exp(np.outer(2.0 ** np.arange(squarings + 1), np.diag(a))) if upper else None
+    return _squared(r, squarings, np.diag(a) if upper else None)
+
+
+def _squared(r: np.ndarray, squarings: int, diagonal: np.ndarray | None) -> np.ndarray:
+    """r^(2^squarings) for r = e^a.  Given the diagonal of an upper triangular a,
+    the exact diagonal exp(a_ii 2^k) of e^(a 2^k) is written back before the
+    first squaring and after each, with triangular products above _LEAF."""
+    mul = _tri_mul if diagonal is not None and len(r) > _LEAF else np.matmul
+    diagonals = None if diagonal is None else np.exp(np.outer(2.0 ** np.arange(squarings + 1), diagonal))
     for k in range(squarings + 1):
         r = mul(r, r) if k else r
-        if upper:
-            r.flat[:: len(r) + 1] = diagonals[k]  # that of e^(a 2^k), exactly
+        if diagonals is not None:
+            r.flat[:: len(r) + 1] = diagonals[k]
     return r
 
 
@@ -219,12 +230,23 @@ _SPARSE_UNIT = 6e5
 _SPARSE_GAP = 10
 
 
+def _doublings(earlier: float, gap: float, norm: float) -> int:
+    """j >= 1 if gap is exactly earlier * 2^j and expm(aug * gap), norm = ||aug||_1,
+    squares at least j times: its Pade step is then that of expm(aug * earlier),
+    and its result that one squared j times more.  Else 0, as for earlier = 0."""
+    (m0, e0), (m1, e1) = math.frexp(earlier), math.frexp(gap)
+    return e1 - e0 if m0 == m1 and 0 < e1 - e0 <= _squarings(norm * gap) else 0
+
+
 def _sparse_is_cheaper(size: int, norm: float, runs: Sequence[tuple[float, int]]) -> bool:
     """Whether Taylor stepping is estimated to cost less than dense Pade 13
-    over these runs of (gap, count) equal nonzero gaps, norm = ||aug||_1.
-    Ties, and no step at all, keep the dense route."""
-    dense = sum((_squarings(norm * gap) + 8) * size**3 for gap, _ in runs)
-    return sum((norm * gap + _SPARSE_GAP) * k for gap, k in runs) * _SPARSE_UNIT < dense
+    over these runs of (gap, count) equal nonzero gaps, norm = ||aug||_1.  A
+    dense run costs (squarings + 8) n^3, or j n^3 when its step is the step of
+    the run before it squared j times (_doublings).  Ties, and no step at all,
+    keep the dense route."""
+    gaps = [gap for gap, _ in runs]
+    units = (_doublings(g0, g, norm) or _squarings(norm * g) + 8 for g0, g in zip([0.0, *gaps], gaps))
+    return sum((norm * gap + _SPARSE_GAP) * k for gap, k in runs) * _SPARSE_UNIT < sum(units) * size**3
 
 
 def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
@@ -235,8 +257,11 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     per call, by estimated work (_sparse_is_cheaper): one expm(aug * gap) per
     run on aug in SCC order, then a matrix-vector step per gap; or a Taylor
     step per gap on aug - mu I, mu = trace / size, in CSR form (only then is
-    scipy.sparse imported).  Raises OdeSolveError, naming the first
-    non-finite time, when the state overflows."""
+    scipy.sparse imported).  A dense run whose gap is 2^j times the last one,
+    where expm(aug * gap) would square at least j times, squares the last
+    step j times instead, bit for bit the same (_doublings: one Pade step
+    serves 0, 0.25, 0.5, 1, 2, 4 once ||aug||_1 > 2 theta13).  Raises
+    OdeSolveError, naming the first non-finite time, when the state overflows."""
     times = list(times)
     if not all(0 <= t < math.inf for t in times):  # NaN fails too
         raise ValueError("times must be finite and non-negative")
@@ -264,10 +289,12 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     done = 1
     # Overflow shows up as a non-finite state, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for gap, count in runs:
+        for earlier, (gap, count) in zip([0.0, *(gap for gap, _ in runs)], runs):
             if sparse:
                 degrees = ((m, max(1, math.ceil(shifted * gap / theta))) for m, theta in _THETA.items())
                 m, s = min(degrees, key=lambda p: p[0] * p[1])
+            elif j := _doublings(earlier, gap, norm):
+                step = _squared(step, j, None if data[rows > cols].any() else np.diag(aug) * earlier)
             else:
                 step = expm(aug * gap)
             for row in range(done, done + count):

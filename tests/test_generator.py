@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -15,7 +16,7 @@ from sdemoments.generator import (
     apply_generator,
     diffusion_product,
 )
-from sdemoments.model import InitialCondition, SdeModel, benchmark_names, load_benchmark
+from sdemoments.model import InitialCondition, SdeModel, benchmark_names, load_benchmark, load_model
 from sdemoments.poly import Monomial, Polynomial
 
 
@@ -277,6 +278,22 @@ class TestDiffusionProduct:
         for i in range(n):
             for j in range(n):
                 assert ssT[i][j] == ssT[j][i]
+
+    @pytest.mark.parametrize("name", [*sorted(benchmark_names()), "two_noise"])
+    def test_matches_the_full_sum_over_k(self, name):
+        if name == "two_noise":
+            model = load_model((Path(__file__).parent / "data" / "two_noise.json").read_text())
+        else:
+            model = load_benchmark(name)
+        n, sigma = model.dimension, model.diffusion
+        full = tuple(
+            tuple(
+                sum((sigma[i][k] * sigma[j][k] for k in range(model.brownian_dim)), Polynomial.zero(n))
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        assert diffusion_product(model) == full
 
     def test_ou_env_entries(self):
         model = load_benchmark("ou-env")

@@ -238,13 +238,7 @@ class TestEvalNumeric:
 
     def test_one_exponential_per_distinct_gap(self, monkeypatch):
         ms = build_closure(load_benchmark("ou-env"), Monomial((0, 2)))
-        calls = []
-
-        def counting_expm(matrix):
-            calls.append(matrix)
-            return expm(matrix)
-
-        monkeypatch.setattr(odesolve, "expm", counting_expm)
+        calls = expm_spy(monkeypatch)
         eval_numeric(ms, [0.5 * k for k in range(8)])
         assert len(calls) == 1
         calls.clear()
@@ -317,6 +311,33 @@ def exact_trajectory(ms, times):
                 row.append(float(total))
             rows.append(row)
     return np.array(rows)
+
+
+def expm_spy(monkeypatch):
+    """Record the size of the matrix of each odesolve.expm call."""
+    calls = []
+
+    def counting_expm(matrix):
+        calls.append(len(matrix))
+        return expm(matrix)
+
+    monkeypatch.setattr(odesolve, "expm", counting_expm)
+    return calls
+
+
+def stepped_one_gap_at_a_time(ms, times):
+    """eval_numeric's dense route with its own expm per gap, in SCC order;
+    the constant, last in that order, stays 1 as there."""
+    data, rows, cols, order = odesolve._augmented(ms)
+    aug = np.zeros((ms.dimension + 1,) * 2)
+    aug[rows, cols] = data
+    state = np.array([float(v) for v in ms.m0] + [1.0])[order]
+    want = []
+    for s, t in zip([0.0] + times, times):
+        if t != s:
+            state[:-1] = (expm(aug * (t - s)) @ state)[:-1]
+        want.append(state[np.argsort(order)][: ms.dimension])
+    return np.array(want), not np.tril(aug, -1).any()
 
 
 class TestSparseRoute:
@@ -422,17 +443,8 @@ class TestSparseRoute:
         values = eval_numeric(ms, times)
         # The reference steps in the SCC order the dense route takes, where
         # aug is upper triangular, and is put back in index order at the end.
-        data, rows, cols, order = odesolve._augmented(ms)
-        aug = np.zeros((ms.dimension + 1,) * 2)
-        aug[rows, cols] = data
-        assert not np.tril(aug, -1).any()
-        state = np.array([float(v) for v in ms.m0] + [1.0])[order]
-        want = []
-        for s, t in zip([0.0] + times, times):
-            if t != s:
-                state = expm(aug * (t - s)) @ state
-            want.append(state[np.argsort(order)][: ms.dimension])
-        want = np.array(want)
+        want, upper = stepped_one_gap_at_a_time(ms, times)
+        assert upper
         assert values[2].tolist() == values[3].tolist()
         if force:
             assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max()
@@ -497,6 +509,92 @@ class TestSparseRoute:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str([[False, False, False]] * 5 + [[True, True, False]])
+
+
+DYADIC_TIMES = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]  # the times of the exact benchmark
+
+
+class TestDyadicGaps:
+    """A gap 2^j times the gap of the run before it, where expm would square
+    at least j times, takes that run's step squared j times."""
+
+    @pytest.mark.parametrize(
+        "model, alpha, upper, calls",
+        [
+            ("gene", (1, 0, 0, 0, 2), True, 1),  # the dense leaf products
+            ("ou-env", (31, 7), True, 1),  # triangular products above the leaf
+            ("consensus", (0, 8), False, 1),  # a cyclic closure: full products, no diagonal
+            ("oscillator", (0, 1, 2), False, 3),  # ||aug||_1 1.2: gaps 0.25 and 0.5 square 0 times
+        ],
+    )
+    def test_equals_one_expm_per_gap(self, monkeypatch, model, alpha, upper, calls):
+        ms = build_closure(load_benchmark(model), Monomial(alpha))
+        want, triangular = stepped_one_gap_at_a_time(ms, DYADIC_TIMES)
+        assert triangular == upper
+        sizes = expm_spy(monkeypatch)
+        chosen = route_spy(monkeypatch)
+        values = eval_numeric(ms, DYADIC_TIMES)
+        assert chosen == [False] and len(sizes) == calls
+        assert values.tolist() == want.tolist()
+
+    def test_a_gap_that_is_not_dyadic_takes_its_own_expm(self, monkeypatch):
+        # The last gap is 2 + 2^-50, four units in the last place above 2.
+        ms = build_closure(load_benchmark("gene"), Monomial((1, 0, 0, 0, 2)))
+        times = DYADIC_TIMES[:-1] + [4.000000000000001]
+        assert times[-1] - times[-2] == 2.000000000000001
+        want, _ = stepped_one_gap_at_a_time(ms, times)
+        sizes = expm_spy(monkeypatch)
+        values = eval_numeric(ms, times)
+        assert sizes == [ms.dimension + 1] * 2
+        assert values.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("alpha", [(31, 7), (38, 6)])
+    def test_whole_state_is_exact_to_the_trajectory_scale(self, monkeypatch, alpha):
+        ms = build_closure(load_benchmark("ou-env"), Monomial(alpha))
+        sizes = expm_spy(monkeypatch)
+        chosen = route_spy(monkeypatch)
+        values = eval_numeric(ms, DYADIC_TIMES)
+        assert chosen == [False] and len(sizes) == 1
+        exact = exact_trajectory(ms, DYADIC_TIMES)
+        assert (np.abs(values - exact).max(axis=0) <= 1e-14 * np.abs(exact).max(axis=0)).all()
+
+    def test_overflow_names_the_first_non_finite_time(self, monkeypatch):
+        # Times 1, 2, 4, ..., 1024: gaps 1 and 2 take an expm each (||aug||_1
+        # is 2), and 4 to 512 square the step before; m2 = t e^t first
+        # overflows at t = 1024.
+        ms = synthetic_system([[1, 0], [1, 1]], [1, 1], constants=[1, 0])
+        sizes = expm_spy(monkeypatch)
+        route_spy(monkeypatch, force=False)
+        with pytest.raises(OdeSolveError, match=r"overflowed at t=1024.0 \(matrix norm 2\)"):
+            eval_numeric(ms, [2.0**k for k in range(11)])
+        assert len(sizes) == 2
+
+    @pytest.mark.parametrize(
+        "earlier, gap, norm, j",
+        [
+            (0.0, 0.25, 40.0, 0),  # the first run
+            (0.25, 0.5, 40.0, 1),
+            (0.25, 2.0, 40.0, 3),
+            (0.5, 0.25, 40.0, 0),  # a smaller gap
+            (0.1, 0.3 - 0.1, 400.0, 0),  # 0.19999999999999998
+            (0.1, 0.2, 400.0, 1),
+            (0.25, 0.5, 10.0, 0),  # expm(aug * 0.5) squares 0 times
+            (0.25, 0.5, 12.0, 1),  # and once: 12 * 0.25 > theta13 / 2
+            (0.25, 1.0, 12.0, 2),
+            (5e-324, 1e300, 1e300, 0),  # a ratio above the float range
+        ],
+    )
+    def test_doublings(self, earlier, gap, norm, j):
+        assert odesolve._doublings(earlier, gap, norm) == j
+
+    def test_route_rule_charges_a_reused_step_its_squarings(self):
+        # ||aug||_1 = 40 at the exact benchmark's times: the sparse route is
+        # estimated at 210 units of 6e5; dense at 9 + 1 + 1 + 1 units of
+        # n^3 with the reused steps, 9 + 10 + 11 + 12 without.  n = 180 lies
+        # between the two.
+        runs = [(0.25, 2), (0.5, 1), (1.0, 1), (2.0, 1)]
+        assert not SPARSE_IS_CHEAPER(180, 40.0, runs)
+        assert SPARSE_IS_CHEAPER(180, 40.0, runs[:-1] + [(2.0000000000000004, 1)])
 
 
 # ---------------------------------------------------------------------------
