@@ -553,6 +553,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             markov_tail_bound(0.0, args.markov_threshold, args.power)
         except ValueError as exc:
             raise _CliFailure(f"bad tail-bound arguments: {exc}", EXIT_USAGE)
+    for flag, value in (("--lower", args.lower), ("--upper", args.upper), ("--tail-exp", args.tail_exp)):
+        if value is not None and not math.isfinite(value):
+            raise _CliFailure(f"{flag} must be finite, got {value:g}", EXIT_USAGE)
     has_check = (
         args.lower is not None
         or args.upper is not None

@@ -30,7 +30,9 @@ so one matrix exponential covers both parts.  Three evaluation routes:
   * solve_closed_form_float
                       — numeric eigendecomposition for irrational spectra;
                         refuses clustered/repeated eigenvalues (Jordan
-                        structure is numerically ill-posed).
+                        structure is numerically ill-posed).  A functional's
+                        float form is the same one expansion, with its
+                        weights on [m; 1] in place of a unit vector.
 
 best_closed_form is the one policy choosing among them: exact, else float,
 else numeric only.
@@ -455,19 +457,13 @@ class ClosedForm:
 
     def at_zero(self) -> Scalar:
         """Exact value at t = 0 (sum of degree-0 coefficients)."""
-        total: Scalar = Fraction(0) if self.scalar_kind == "exact-rational" else 0.0
-        for _, coeffs in self.terms:
-            total = total + coeffs[0]
-        return total
+        return sum((coeffs[0] for _, coeffs in self.terms), _ZERO)
 
     def derivative(self) -> "ClosedForm":
         out: dict[Scalar, list[Scalar]] = {}
         for lam, coeffs in self.terms:
-            deg = len(coeffs) - 1
-            new = [Fraction(0) if self.scalar_kind == "exact-rational" else 0.0] * (deg + 1)
-            for d in range(deg + 1):
-                new[d] = lam * coeffs[d] + ((d + 1) * coeffs[d + 1] if d < deg else 0)
-            out[lam] = new
+            slope = [d * c for d, c in enumerate(coeffs)][1:] + [0]  # of the t-polynomial
+            out[lam] = [lam * c + s for c, s in zip(coeffs, slope)]
         return ClosedForm.build(out, self.scalar_kind)
 
     def scale(self, factor: Scalar) -> "ClosedForm":
@@ -495,22 +491,6 @@ class ClosedForm:
 
     def __sub__(self, other: "ClosedForm") -> "ClosedForm":
         return self + other.scale(-1)
-
-    def prune(self) -> "ClosedForm":
-        """Drop coefficients at most _COEFF_PRUNE times the largest one (used
-        to clear cancellation residue after float-kind sums)."""
-        scale = max(
-            (abs(complex(c)) for _, coeffs in self.terms for c in coeffs),
-            default=0.0,
-        )
-        if not scale:
-            return self
-        zero: Scalar = Fraction(0) if self.scalar_kind == "exact-rational" else 0.0
-        term_map = {
-            lam: [zero if abs(complex(c)) <= _COEFF_PRUNE * scale else c for c in coeffs]
-            for lam, coeffs in self.terms
-        }
-        return ClosedForm.build(term_map, self.scalar_kind)
 
     # -- text ---------------------------------------------------------------
 
@@ -801,7 +781,16 @@ _EIGEN_COND_CAP = 1e7
 _COEFF_PRUNE = 1e-12
 
 
-def _float_spectral_data(ms: MomentSystem) -> list[tuple[complex, np.ndarray]]:
+def _clean_float_scalar(value: complex) -> Scalar:
+    if abs(value.imag) <= _COEFF_PRUNE * max(1.0, abs(value.real)):
+        return value.real
+    return value
+
+
+def _float_form(ms: MomentSystem, weights: np.ndarray) -> ClosedForm:
+    """weights @ [m(t); 1] from one eigendecomposition V diag(lam) V^-1 of
+    the augmented matrix: the coefficient of exp(lam t) is (weights @ V) *
+    V^-1 [m0; 1], and those at most _COEFF_PRUNE of the largest are dropped."""
     data, rows, cols, order = _augmented(ms)
     aug = np.zeros((len(order), len(order)))
     aug[order[rows], order[cols]] = data  # in index order
@@ -826,36 +815,23 @@ def _float_spectral_data(ms: MomentSystem) -> list[tuple[complex, np.ndarray]]:
             "the numeric spectrum may be defective"
         )
     v0 = np.array([*map(float, ms.m0), 1.0], dtype=complex)
-    mix = np.linalg.solve(vectors, v0)
-    return [(complex(values[i]), vectors[:, i] * mix[i]) for i in range(len(values))]
-
-
-def _clean_float_scalar(value: complex) -> Scalar:
-    if abs(value.imag) <= _COEFF_PRUNE * max(1.0, abs(value.real)):
-        return value.real
-    return value
+    coeffs = (weights @ vectors) * np.linalg.solve(vectors, v0)
+    keep = np.abs(coeffs) > _COEFF_PRUNE * np.abs(coeffs).max()
+    pairs = zip(values[keep].tolist(), coeffs[keep].tolist())
+    terms = {_clean_float_scalar(lam): [_clean_float_scalar(c)] for lam, c in pairs}
+    return ClosedForm.build(terms, "float")
 
 
 def solve_closed_form_float(ms: MomentSystem, component: int = 0) -> ClosedForm:
     """Closed form from the numeric eigendecomposition (scalar_kind="float").
 
     Only spectra with pairwise-separated eigenvalues and a well-conditioned
-    eigenvector basis are accepted; coefficients below 1e-12 of the largest
-    are pruned."""
+    eigenvector basis are accepted; coefficients at most 1e-12 of the largest
+    are pruned.  A functional's form is the same one expansion, with its
+    weights in place of the unit vector (FunctionalMoment.closed_form_float)."""
     if not 0 <= component < ms.dimension:
         raise IndexError(f"component {component} out of range")
-    return _float_component_form(_float_spectral_data(ms), component)
-
-
-def _float_component_form(data: list[tuple[complex, np.ndarray]], component: int) -> ClosedForm:
-    coeffs = [vec[component] for _, vec in data]
-    scale = max((abs(c) for c in coeffs), default=0.0)
-    term_map: dict[Scalar, list[Scalar]] = {}
-    for (lam, _), c in zip(data, coeffs):
-        if scale and abs(c) <= _COEFF_PRUNE * scale:
-            continue
-        term_map[_clean_float_scalar(lam)] = [_clean_float_scalar(c)]
-    return ClosedForm.build(term_map, "float")
+    return _float_form(ms, np.eye(1, ms.dimension + 1, component)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -885,14 +861,7 @@ class FunctionalMoment:
         return _closed_form(_reduced(acc))
 
     def closed_form_float(self) -> ClosedForm:
-        acc = ClosedForm((), "float")
-        if self.offset:
-            acc = acc + ClosedForm.build({0.0: [float(self.offset)]}, "float")
-        data = _float_spectral_data(self.system)
-        for component, weight in enumerate(self.weights):
-            if weight:
-                acc = acc + _float_component_form(data, component).scale(float(weight))
-        return acc.prune()
+        return _float_form(self.system, np.array([*map(float, self.weights), float(self.offset)]))
 
 
 def best_closed_form(fm: FunctionalMoment) -> tuple[ClosedForm | None, str, str | None]:

@@ -8,6 +8,7 @@ paths without touching the bundled benchmarks.
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 import subprocess
@@ -38,6 +39,7 @@ OU_ENV = str(BENCHMARKS / "ou-env.json")
 DOUBLE_WELL = str(BENCHMARKS / "double-well.json")
 CONSENSUS = str(BENCHMARKS / "consensus.json")
 COUPLED3D = str(BENCHMARKS / "coupled3d.json")
+OSCILLATOR = str(BENCHMARKS / "oscillator.json")
 
 GOLDEN_FORM = (
     "1/3 + (-11/8 - 1/4*t)*exp(-2*t) + 2/3*exp(-3*t) "
@@ -295,6 +297,24 @@ class TestMoment:
             "of size 3 leaves a characteristic factor of degree 2 with no rational root"
         )
         assert lines[7:] == ["time,value", "0,0"]
+
+    def test_printed_complex_float_form_matches_the_samples(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "moment", OSCILLATOR, "--alpha", "0,1,2", "--closed-form", "--json"
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["closed_form_kind"] == "float-spectrum"
+        form = doc["closed_form"]
+        assert "j)*exp((" in form  # complex-conjugate modes, printed as (a+bj)
+        for sample in doc["samples"]:
+            # Read back as the benchmark checks read it: ^ is **, exp is cmath.exp.
+            names = {"exp": cmath.exp, "t": sample["time"]}
+            value = eval(form.replace("^", "**"), {"__builtins__": {}}, names)
+            assert abs(complex(value).real - sample["value"]) <= 1e-9
+        # The lambda = 0 term is the stationary value, exactly 1/112.
+        (constant,) = [chunk for chunk in form.split(" + ") if "exp" not in chunk]
+        assert abs(float(constant) - 1 / 112) <= 1e-12
 
     def test_text_view_of_a_numeric_only_moment(self, capsys, write_model):
         # x1 and x2 share the rate -1, so the float spectrum is refused too.
@@ -672,6 +692,28 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert "bad tail-bound arguments" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lower", "nan"],
+            ["--upper", "nan"],
+            ["--upper", "inf"],
+            ["--markov-threshold", "1", "--power", "2", "--tail-exp", "nan"],
+        ],
+        ids=["nan-lower", "nan-upper", "inf-upper", "nan-tail-exp"],
+    )
+    def test_non_finite_bounds_are_usage_errors(self, capsys, flags):
+        code, out, err = run_cli(capsys, "verify", OU_ENV, "--alpha", "0,2", "--times", "0,1", *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"{flags[-2]} must be finite" in err
+
+    def test_divergent_target_prints_the_witness(self, capsys):
+        code, out, err = run_cli(capsys, "verify", DOUBLE_WELL, "--alpha", "1", "--lower", "0", "--times", "1")
+        assert code == EXIT_DIVERGENCE
+        assert out == ""
+        assert "growth witness: (1) -> (3) -> (5)" in err
 
     def test_markov_flags_must_pair(self, capsys):
         code, _, err = run_cli(

@@ -721,7 +721,18 @@ class TestConsensusStudy:
         form, kind, _ = best_closed_form(fm)
         assert kind == "float-spectrum"
         assert len(calls) == 1
-        assert form == per_component.prune()
+        # The per-component sum keeps the cancellation residue of the modes
+        # the functional does not see; drop it at 1e-12 of the largest.  The
+        # one dot product per mode rounds differently from the sum, in the
+        # last bits only: the printed forms agree.
+        scale = max(abs(c) for _, coeffs in per_component.terms for c in coeffs)
+        kept = ClosedForm.build(
+            {lam: coeffs for lam, coeffs in per_component.terms if abs(coeffs[0]) > 1e-12 * scale}, "float"
+        )
+        assert [lam for lam, _ in form.terms] == [lam for lam, _ in kept.terms]
+        for (_, (got,)), (_, (want,)) in zip(form.terms, kept.terms):
+            assert abs(got - want) <= 1e-15 * scale
+        assert str(form) == str(kept)
 
     def test_closed_form_falls_back_to_float(self):
         cf, kind, note = best_closed_form(self.functional())
@@ -1405,11 +1416,6 @@ class TestClosedFormType:
         a = ClosedForm.build({F(-2): [F(1), F(3)]}, "exact-rational")
         t = 0.7
         assert math.isclose(a.evaluate(t), (1 + 3 * t) * math.exp(-2 * t))
-
-    def test_prune_drops_residue(self):
-        a = ClosedForm.build({0.0: [1.0], -3.0: [5e-16]}, "float")
-        cleaned = a.prune()
-        assert [lam for lam, _ in cleaned.terms] == [0.0]
 
 
 class TestClosedFormPrinting:

@@ -1,5 +1,7 @@
-"""The package's export list and the two scripts in scripts/, run in-process."""
+"""The package's export list, a lint for leftover names in its modules, and
+the two scripts in scripts/, run in-process."""
 
+import ast
 import runpy
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import sdemoments
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+MODULES = sorted(p for p in Path(sdemoments.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
 def test_every_exported_name_resolves():
@@ -15,6 +18,69 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from sdemoments import *", namespace)
     assert set(sdemoments.__all__) <= set(namespace)
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Names a tree reads: loaded names, attribute names and the names inside
+    string annotations."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for annotation in filter(None, annotations):
+            for const in ast.walk(annotation):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    used |= _names_read(ast.parse(const.value, mode="eval"))
+    return used
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        used = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_private_module_name_is_used_elsewhere():
+    """A module-level _name must be read somewhere in the package other than
+    its own definition (a recursive function's call to itself does not count);
+    importing it into another module counts."""
+    statements = [stmt for path in MODULES for stmt in ast.parse(path.read_text()).body]
+    statements += ast.parse(Path(sdemoments.__file__).read_text()).body
+    imported = [
+        {alias.name for node in ast.walk(stmt) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for stmt in statements
+    ]
+    used = [_names_read(stmt) | names for stmt, names in zip(statements, imported)]
+    unused = [
+        name
+        for i, stmt in enumerate(statements)
+        for name in _defined_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for j, names in enumerate(used) if j != i)
+    ]
+    assert unused == []
 
 
 def run_script(monkeypatch, capsys, name, *argv):
