@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Time the exact closed form at scale, one fresh process per target.
+
+Each target runs in a child process that builds its closure and times
+solve_closed_form on it.  Columns: the closure's dimension and nonzeros, the
+form's distinct rates, the seconds, the peak resident set (ru_maxrss), and the
+largest numerator or denominator bit length of the printed Fractions and of
+the solver's integer form of the target (one denominator over int
+numerators).  Targets are MODEL:E1,E2,...
+
+    PYTHONPATH=src python scripts/exact_scaling.py [TARGET ...]
+"""
+
+import json
+import resource
+import subprocess
+import sys
+import time
+
+DEFAULT = ["gene:0,0,0,0,3", "gene:0,0,0,0,4", "gene:0,0,0,0,5"]
+
+
+def measure(target: str) -> dict:
+    from sdemoments import Monomial, build_closure, load_benchmark, odesolve
+
+    name, alpha = target.split(":")
+    ms = build_closure(load_benchmark(name), Monomial(tuple(map(int, alpha.split(",")))))
+    started = time.perf_counter()
+    form = odesolve.solve_closed_form(ms)
+    seconds = time.perf_counter() - started
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    den, terms = odesolve._solve_forms(ms)[0]
+    ints = [den, *(c for nums in terms.values() for c in nums)]
+    fracs = [x for lam, coeffs in form.terms for v in (lam, *coeffs) for x in (v.numerator, v.denominator)]
+    return {
+        "target": target,
+        "dim": ms.dimension,
+        "nnz": sum(map(len, ms.rows)),
+        "rates": len(form.terms),
+        "seconds": round(seconds, 3),
+        "peak_rss_mb": round(rss, 1),
+        "fraction_bits": max(abs(x).bit_length() for x in fracs),
+        "int_bits": max(abs(x).bit_length() for x in ints),
+    }
+
+
+def main(argv: list[str]) -> None:
+    if argv[:1] == ["--child"]:
+        print(json.dumps(measure(argv[1])))
+        return
+    for i, target in enumerate(argv or DEFAULT):
+        child = [sys.executable, __file__, "--child", target]
+        row = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
+        if not i:
+            print("| " + " | ".join(row) + " |\n|" + "---|" * len(row))
+        print("| " + " | ".join(map(str, row.values())) + " |", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

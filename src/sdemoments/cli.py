@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .closure import (
     DivergenceReport,
     build_closure,
 )
-from .model import ModelError, SdeModel, load_benchmark, load_model_file
+from .model import EXPONENT_FIELD, ModelError, SdeModel, load_benchmark, load_model_file
 from .montecarlo import BlowUpError, SimConfig, SimulationError, simulate_functional
 from .odesolve import (
     FunctionalMoment,
@@ -77,13 +78,18 @@ class _CliFailure(Exception):
         self.code = code
 
 
+# A plain decimal literal with an optional exponent; float() alone also takes
+# "1_0", "+1", "inf" and non-ASCII digits.
+_TIME_FIELD = re.compile(r"\s*-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?\s*")
+
+
 def _parse_times(text: str | None) -> tuple[float, ...]:
     if text is None:
         return tuple(i * 0.5 for i in range(21))  # 0, 0.5, ..., 10
-    try:
-        times = tuple(float(part) for part in text.split(",")) if text.strip() else ()
-    except ValueError:
-        raise _CliFailure(f"--times expects comma-separated numbers, got {text!r}", EXIT_USAGE)
+    parts = text.split(",") if text.strip() else []
+    if not all(_TIME_FIELD.fullmatch(part) for part in parts):
+        raise _CliFailure(f"--times expects comma-separated non-negative numbers, got {text!r}", EXIT_USAGE)
+    times = tuple(map(float, parts))
     if not times:
         raise _CliFailure("--times must list at least one time", EXIT_USAGE)
     if not all(math.isfinite(t) and t >= 0 for t in times):
@@ -95,10 +101,9 @@ def _parse_times(text: str | None) -> tuple[float, ...]:
 
 def _parse_alpha(text: str, model: SdeModel) -> Monomial:
     parts = text.split(",")
-    try:
-        exponents = tuple(int(p) for p in parts)
-    except ValueError:
+    if not all(EXPONENT_FIELD.fullmatch(p) for p in parts):
         raise _CliFailure(f"--alpha expects comma-separated integers, got {text!r}", EXIT_USAGE)
+    exponents = tuple(int(p) for p in parts)
     if len(exponents) != model.dimension:
         raise _CliFailure(
             f"--alpha has {len(exponents)} entries but the model has "

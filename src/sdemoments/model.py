@@ -68,12 +68,16 @@ def parse_rational(text: str) -> Fraction:
         raise ModelError(f"invalid rational literal {text!r}: {exc}") from exc
 
 
+# One exponent of a moment index; int() alone also takes "1_0", "+1" and non-ASCII digits.
+EXPONENT_FIELD = re.compile(r"\s*-?[0-9]+\s*")
+
+
 def _parse_index_key(key: str, dimension: int) -> Monomial:
     body = key.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     parts = body.split(",")
-    if not all(re.fullmatch(r"\s*-?[0-9]+\s*", p) for p in parts):  # int() also takes "1_0", "+1"
+    if not all(EXPONENT_FIELD.fullmatch(p) for p in parts):
         raise ModelError(f"invalid moment index key {key!r}")
     exponents = tuple(int(p) for p in parts)
     if len(exponents) != dimension or any(e < 0 for e in exponents):

@@ -18,15 +18,16 @@ so one matrix exponential covers both parts.  Three evaluation routes:
                         Taylor series per gap on the CSR matrix (Al-Mohy &
                         Higham 2011).
   * solve_closed_form — exact solution, terms p(t) * exp(lambda t), at any
-                        dimension, built fraction-free (int numerators over
-                        one int denominator per term; Fractions only in the
-                        result).  The moments are solved one strongly
-                        connected component (SCC) of A's off-diagonal
-                        pattern at a time, after the components they depend
-                        on: a 1x1 component by exact variation of constants,
-                        a larger one by removing one rational eigenvalue of
-                        its characteristic polynomial per step (kernel
-                        vector, rank-one update, one scalar solve).
+                        dimension, built fraction-free (one int denominator
+                        per moment over int numerators, so a weighted sum
+                        takes one lcm; Fractions only in the result).  The
+                        moments are solved one strongly connected component
+                        (SCC) of A's off-diagonal pattern at a time, after
+                        the components they depend on: a 1x1 component by
+                        exact variation of constants, a larger one by
+                        removing one rational eigenvalue of its
+                        characteristic polynomial per step (kernel vector,
+                        rank-one update, one scalar solve).
   * solve_closed_form_float
                       — numeric eigendecomposition for irrational spectra;
                         refuses clustered/repeated eigenvalues (Jordan
@@ -48,7 +49,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
+from operator import add
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -558,48 +560,47 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-# rate mu as its (numerator, denominator) pair -> (den, nums): the term
-# (sum_d nums[d] t^d / den) e^{mu t}, int nums over one positive int den
-Form = dict[tuple[int, int], tuple[int, list[int]]]
+# (den, {mu: nums}): one moment's form sum_mu (sum_d nums[d] t^d / den) e^{mu t},
+# int nums over one positive int den, rate mu as its (numerator, denominator)
+Form = tuple[int, dict[tuple[int, int], list[int]]]
+_ONE: Form = (1, {(0, 1): [1]})
 
 
-def _add_terms(acc: Form, weight: Fraction | int, terms) -> None:
-    """acc += weight * terms, given as (mu, (den, nums)) pairs: per rate one
-    lcm of the two denominators where they differ, then int multiply-adds."""
-    wn, wd = weight.numerator, weight.denominator
-    for mu, (den, nums) in terms:
-        den *= wd
-        entry = acc.get(mu)
-        if entry is None:
-            acc[mu] = (den, [wn * c for c in nums])
-            continue
-        acc_den, acc_nums = entry
-        factor, rem = divmod(acc_den, den)
-        if rem:  # to the lcm, acc_den * den / g
-            g = math.gcd(den, rem)
-            up, factor = den // g, acc_den // g
-            acc_nums = [c * up for c in acc_nums]
-            acc[mu] = (acc_den * up, acc_nums)
-        factor *= wn
-        acc_nums.extend([0] * (len(nums) - len(acc_nums)))
-        for d, c in enumerate(nums):
-            acc_nums[d] += factor * c
+def _axpy(parts) -> Form:
+    """sum of weight * form over (weight, form) pairs: one lcm, then int multiply-adds."""
+    parts = [(w, form) for w, form in parts if w and form[1]]
+    den = math.lcm(*(w.denominator * d for w, (d, _) in parts))
+    acc: dict[tuple[int, int], list[int]] = {}
+    for w, (d, terms) in parts:
+        factor = w.numerator * (den // (w.denominator * d))
+        for mu, nums in terms.items():
+            row = acc.get(mu)
+            if row is None:
+                acc[mu] = [factor * nums[0]] if len(nums) == 1 else [factor * c for c in nums]
+            elif len(nums) == 1:
+                row[0] += factor * nums[0]
+            else:
+                row.extend([0] * (len(nums) - len(row)))
+                row[: len(nums)] = map(add, row, [factor * c for c in nums])
+    return den, acc
 
 
-def _reduced(form: Form) -> Form:
-    """Trailing zeros (popped in place) and zero terms dropped, each term over its content gcd."""
-    out: Form = {}
-    for mu, (den, nums) in form.items():
+def _finished(den: int, terms: dict[tuple[int, int], list[int]]) -> Form:
+    """The form without trailing zeros or zero terms, over its content gcd; lists change in place."""
+    for nums in terms.values():
         while nums and not nums[-1]:
             nums.pop()
-        if nums:
-            g = math.gcd(den, *nums)
-            out[mu] = (den // g, [c // g for c in nums]) if g > 1 else (den, nums)
-    return out
+    terms = {mu: nums for mu, nums in terms.items() if nums}
+    g = math.gcd(den, *chain.from_iterable(terms.values()))
+    if g > 1:
+        den //= g
+        for nums in terms.values():
+            nums[:] = [nums[0] // g] if len(nums) == 1 else [c // g for c in nums]
+    return den, terms
 
 
-def _closed_form(form: Form) -> ClosedForm:
-    terms = {Fraction(*mu): [Fraction(c, den) for c in nums] for mu, (den, nums) in form.items()}
+def _closed_form(den: int, terms: dict[tuple[int, int], list[int]]) -> ClosedForm:
+    terms = {Fraction(*mu): [Fraction(c, den) for c in nums] for mu, nums in terms.items()}
     return ClosedForm.build(terms, "exact-rational")
 
 
@@ -612,27 +613,34 @@ def _scalar_form(lam: Fraction, forcing: Form, start: Fraction) -> Form:
     y = sum_mu q_mu e^{mu t} + (start - sum_mu q_mu(0)) e^{lam t}.
 
     In integers, with p_mu = P / den of degree m and mu - lam = dn / dd,
-    dn > 0: q_k = R_k / (den dn^(m-k+1)), R_k = dd (P_k dn^(m-k) - (k+1)
-    R_{k+1}), over den dn^(m+1); at resonance den takes lcm(1..m+1)."""
+    dn > 0: q_mu = Q / (den dn^(m+1)), Q_k = dd (P_k dn^m - (k+1) Q_{k+1} / dn),
+    each division exact; at resonance den takes lcm(1..m+1).  Every rate
+    goes over one lcm of those factors, so the free term is an int sum."""
     key = (lam.numerator, lam.denominator)
-    terms: Form = {}
-    free = [(key, (start.denominator, [start.numerator]))]
-    for mu, (den, p) in forcing.items():
-        m = len(p) - 1
-        if mu == key:
-            scale = math.lcm(*range(1, m + 2))
-            terms[mu] = (den * scale, [0] + [c * (scale // (d + 1)) for d, c in enumerate(p)])
-            continue
+    den, forcing_terms = forcing
+    rates = []  # (mu, p, dn, dd, scale): q_mu over den * scale
+    for mu, p in forcing_terms.items():
         dn = mu[0] * key[1] - key[0] * mu[1]
-        dn, dd = abs(dn), mu[1] * key[1] if dn > 0 else -mu[1] * key[1]
-        q, r = [0] * (m + 1), 0
-        for k in range(m, -1, -1):
-            r = dd * (p[k] * dn ** (m - k) - (k + 1) * r)
-            q[k] = r * dn**k
-        terms[mu] = (den * dn ** (m + 1), q)
-        free.append((key, (den * dn ** (m + 1), [-r])))
-    _add_terms(terms, 1, free)
-    return _reduced(terms)
+        dd = mu[1] * key[1] if dn > 0 else -mu[1] * key[1]
+        scale = math.lcm(*range(1, len(p) + 1)) if mu == key else abs(dn) ** len(p)
+        rates.append((mu, p, abs(dn), dd, scale))
+    out_den = math.lcm(den * math.lcm(*(scale for *_, scale in rates)), start.denominator)
+    lift = out_den // den
+    terms = {}
+    for mu, p, dn, dd, scale in rates:
+        if mu == key:
+            terms[mu] = [0] + [c * (lift // (d + 1)) for d, c in enumerate(p)]
+        elif len(p) == 1:
+            terms[mu] = [dd * (lift // scale) * p[0]]
+        else:
+            q, r, up = [0] * len(p), 0, lift // scale * dn ** (len(p) - 1)
+            for k in reversed(range(len(p))):
+                r = q[k] = dd * (up * p[k] - (k + 1) * r // dn)
+            terms[mu] = q
+    # A resonant q is 0 at t = 0, so it takes the free term at degree 0.
+    free = start.numerator * (out_den // start.denominator) - sum(nums[0] for nums in terms.values())
+    terms.setdefault(key, [0])[0] = free
+    return _finished(out_den, terms)
 
 
 def _rational_spectrum(a: ExactMatrix) -> list[Fraction]:
@@ -693,35 +701,21 @@ def _block_forms(
     k = len(a)
     if k == 1:
         return [_scalar_form(a[0][0], forcings[0], start[0])]
-    if not any(start) and not any(any(nums) for f in forcings for _, nums in f.values()):
-        return [{} for _ in range(k)]
+    if not any(start) and not any(any(nums) for _, terms in forcings for nums in terms.values()):
+        return [(1, {}) for _ in range(k)]
     if roots is None:
         roots = _rational_spectrum(a)
     lam = roots[0]
     p, r = _kernel_vector(a, lam)
     rest = [i for i in range(k) if i != p]
-    sub_forcings: list[Form] = []
-    for i in rest:
-        forcing = forcings[i]
-        if r[i] and forcings[p]:
-            forcing = {mu: (den, nums[:]) for mu, (den, nums) in forcing.items()}
-            _add_terms(forcing, -r[i], forcings[p].items())
-        sub_forcings.append(forcing)
     ys = _block_forms(
         [[a[i][l] - r[i] * a[p][l] for l in rest] for i in rest],
-        sub_forcings,
+        [_axpy([(1, forcings[i]), (-r[i], forcings[p])]) for i in rest],
         [start[i] - r[i] * start[p] for i in rest],
         roots[1:],
     )
-    forcing = {mu: (den, nums[:]) for mu, (den, nums) in forcings[p].items()}
-    for l, y in zip(rest, ys):
-        if a[p][l]:
-            _add_terms(forcing, a[p][l], y.items())
-    z = _scalar_form(lam, forcing, start[p])
-    for i, y in zip(rest, ys):
-        if r[i]:
-            _add_terms(y, r[i], z.items())
-    forms = [_reduced(y) for y in ys]
+    z = _scalar_form(lam, _axpy([(1, forcings[p]), *((a[p][l], y) for l, y in zip(rest, ys))]), start[p])
+    forms = [_finished(*_axpy([(1, y), (r[i], z)])) if r[i] else y for i, y in zip(rest, ys)]
     forms.insert(p, z)
     return forms
 
@@ -730,20 +724,19 @@ def _solve_forms(ms: MomentSystem) -> list[Form]:
     """Every component of m(t).  ms.blocks lists each strongly connected
     component of A's off-diagonal pattern after every component it reaches:
     their solved forms, with c, are the block's forcing."""
-    forms: list[Form] = [{}] * ms.dimension
+    forms: list[Form] = [(1, {})] * ms.dimension
     for block in ms.blocks:
         local = {i: p for p, i in enumerate(block)}
         a = [[_ZERO] * len(block) for _ in block]
         forcings: list[Form] = []
         for p, i in enumerate(block):
-            c = ms.vector_c[i]
-            forcing: Form = {(0, 1): (c.denominator, [c.numerator])} if c else {}
+            parts = [(ms.vector_c[i], _ONE)]
             for j, coeff in ms.rows[i]:
                 if j in local:
                     a[p][local[j]] = coeff
                 else:
-                    _add_terms(forcing, coeff, forms[j].items())
-            forcings.append(forcing)
+                    parts.append((coeff, forms[j]))
+            forcings.append(_axpy(parts))
         for i, form in zip(block, _block_forms(a, forcings, [ms.m0[i] for i in block])):
             forms[i] = form
     return forms
@@ -751,7 +744,7 @@ def _solve_forms(ms: MomentSystem) -> list[Form]:
 
 def solve_closed_form_vector(ms: MomentSystem) -> list[ClosedForm]:
     """Exact ClosedForm for every component of m(t); see solve_closed_form."""
-    return [_closed_form(form) for form in _solve_forms(ms)]
+    return [_closed_form(*form) for form in _solve_forms(ms)]
 
 
 def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
@@ -769,7 +762,7 @@ def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
     fallback."""
     if not 0 <= component < ms.dimension:
         raise IndexError(f"component {component} out of range")
-    return _closed_form(_solve_forms(ms)[component])
+    return _closed_form(*_solve_forms(ms)[component])
 
 
 # ---------------------------------------------------------------------------
@@ -854,11 +847,8 @@ class FunctionalMoment:
         return vectors @ w + float(self.offset)
 
     def closed_form_exact(self) -> ClosedForm:
-        acc: Form = {(0, 1): (self.offset.denominator, [self.offset.numerator])} if self.offset else {}
-        for weight, part in zip(self.weights, _solve_forms(self.system)):
-            if weight:
-                _add_terms(acc, weight, part.items())
-        return _closed_form(_reduced(acc))
+        parts = zip((self.offset, *self.weights), (_ONE, *_solve_forms(self.system)))
+        return _closed_form(*_finished(*_axpy(parts)))
 
     def closed_form_float(self) -> ClosedForm:
         return _float_form(self.system, np.array([*map(float, self.weights), float(self.offset)]))

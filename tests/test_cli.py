@@ -778,6 +778,32 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "comma-separated integers" in err
 
+    @pytest.mark.parametrize("command", ["closure", "moment"])
+    @pytest.mark.parametrize("alpha", ["1_0,2", "+1,2", "\u0661,2", "0,\u0662", "0,2.0"])
+    def test_alpha_takes_ascii_integers_only(self, capsys, command, alpha):
+        # int() alone reads "1_0" as 10 and Arabic-Indic digits as digits.
+        code, out, err = run_cli(capsys, command, OU_ENV, "--alpha", alpha)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "comma-separated integers" in err
+
+    @pytest.mark.parametrize("times", ["0,1_0", "0,+1", "0,\u0661\u0662", "1e", "0,.", "0x1"])
+    def test_times_take_decimal_literals_only(self, capsys, times):
+        # float() alone reads "1_0" as 10 and Arabic-Indic digits as digits.
+        code, out, err = run_cli(capsys, "moment", OU_ENV, "--alpha", "0,2", f"--times={times}")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "comma-separated non-negative numbers" in err
+
+    @pytest.mark.parametrize(
+        "alpha, times, expected",
+        [(" 0, 2", "0.5", [0.5]), ("0,2 ", "1e-3, 2", [0.001, 2.0]), ("0,2", ".5,1.,2E+1", [0.5, 1.0, 20.0])],
+    )
+    def test_plain_literals_are_accepted(self, capsys, alpha, times, expected):
+        code, out, _ = run_cli(capsys, "moment", OU_ENV, "--alpha", alpha, f"--times={times}", "--json")
+        assert code == 0
+        result = json.loads(out)
+        assert result["target"] == "E[x^(0,2)]"
+        assert [s["time"] for s in result["samples"]] == expected
+
     def test_alpha_needs_positive_degree(self, capsys):
         code, _, err = run_cli(capsys, "moment", OU_ENV, "--alpha", "0,0")
         assert code == EXIT_USAGE

@@ -1,6 +1,7 @@
 """Linear ODE solving: matrix exponential, exact/float spectra, closed forms."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -851,6 +852,34 @@ def assert_matches_sympy(ms, forms):
         assert sympy.expand(solution[r] - expr) == 0, f"row {r}: {form}"
 
 
+# Nonzero rationals p/q with q up to 10^6.
+HARD = st.builds(
+    Fraction,
+    st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+def assert_lowest_terms(ms, forms):
+    """Every printed rate and coefficient is a Fraction in lowest terms, rates
+    distinct and descending; each internal form is one positive denominator
+    over int numerators with no common factor, with no empty term and no
+    trailing zero, and each rate in lowest terms."""
+    for form in forms:
+        rates = [lam for lam, _ in form.terms]
+        assert rates == sorted(set(rates), reverse=True)
+        for lam, coeffs in form.terms:
+            for c in (lam, *coeffs):
+                assert type(c) is Fraction
+                assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+            assert coeffs[-1] != 0
+    for den, terms in odesolve._solve_forms(ms):
+        assert den > 0 and math.gcd(den, *(c for nums in terms.values() for c in nums)) == 1
+        for (mu_num, mu_den), nums in terms.items():
+            assert mu_den > 0 and math.gcd(mu_num, mu_den) == 1
+            assert nums and nums[-1] != 0
+
+
 def block_sizes(ms):
     deps = [[j for j, _ in row if j != i] for i, row in enumerate(ms.rows)]
     return sorted(len(block) for block in _tarjan_sccs(ms.dimension, deps.__getitem__))
@@ -879,12 +908,7 @@ def rational_spectrum_blocks(draw):
     triangular matrix with small integers above it (so Jordan chains
     occur), conjugated by a unimodular integer matrix and then scaled by a
     diagonal of entries with denominators up to 10^6."""
-    hard = st.builds(
-        Fraction,
-        st.integers(min_value=-10**6, max_value=10**6).filter(bool),
-        st.integers(min_value=1, max_value=10**6),
-    )
-    values = draw(st.lists(st.one_of(st.just(F(0)), hard), min_size=1, max_size=3, unique=True))
+    values = draw(st.lists(st.one_of(st.just(F(0)), HARD), min_size=1, max_size=3, unique=True))
     diagonal = [v for v in values for _ in range(draw(st.integers(min_value=1, max_value=3)))]
     k = len(diagonal)
     matrix = [
@@ -898,7 +922,7 @@ def rational_spectrum_blocks(draw):
             matrix[i][c] += m * matrix[j][c]
         for r in range(k):
             matrix[r][j] -= m * matrix[r][i]
-    scale = [draw(hard) for _ in range(k)]
+    scale = [draw(HARD) for _ in range(k)]
     return [[matrix[i][j] * scale[i] / scale[j] for j in range(k)] for i in range(k)]
 
 
@@ -1149,21 +1173,16 @@ class TestTriangularPath:
         # diagonal of such entries.  The lcm of unequal denominators, the
         # content reduction, the resonant recurrence and the integer
         # characteristic polynomial all run on large denominators.
-        hard = st.builds(
-            Fraction,
-            st.integers(min_value=-10**6, max_value=10**6).filter(bool),
-            st.integers(min_value=1, max_value=10**6),
-        )
         k = data.draw(st.sampled_from([0, 2, 3]))
         after = data.draw(st.integers(min_value=0, max_value=2))
         n = 2 + k + after
         matrix = [[0] * n for _ in range(n)]
         for i in range(n):
-            matrix[i][i] = data.draw(hard)
+            matrix[i][i] = data.draw(HARD)
             for j in range(i + 1, n):
-                matrix[i][j] = data.draw(st.one_of(st.just(0), hard))
+                matrix[i][j] = data.draw(st.one_of(st.just(0), HARD))
         matrix[1][1] = matrix[0][0]
-        matrix[0][1] = data.draw(hard)
+        matrix[0][1] = data.draw(HARD)
         block = range(2, 2 + k)
         for i in block:
             matrix[i][i] = data.draw(st.sampled_from([F(-2), F(-1), F(-1, 2), F(0)]))
@@ -1177,28 +1196,40 @@ class TestTriangularPath:
                 matrix[i][c] += m * matrix[j][c]
             for r in block:
                 matrix[r][j] -= m * matrix[r][i]
-        scale = {i: data.draw(hard) for i in block}
+        scale = {i: data.draw(HARD) for i in block}
         for i in block:
             for j in block:
                 matrix[i][j] *= scale[i] / scale[j]
-        constants = [data.draw(st.one_of(st.just(0), hard)) for _ in range(n)]
-        m0 = [data.draw(st.one_of(st.just(0), hard)) for _ in range(n)]
+        constants = [data.draw(st.one_of(st.just(0), HARD)) for _ in range(n)]
+        m0 = [data.draw(st.one_of(st.just(0), HARD)) for _ in range(n)]
         ms = synthetic_system(matrix, m0, constants=constants)
         forms = solve_closed_form_vector(ms)
         assert_exact_solution(ms, forms)
-        for form in forms:
-            rates = [lam for lam, _ in form.terms]
-            assert rates == sorted(set(rates), reverse=True)
-            for lam, coeffs in form.terms:
-                for c in (lam, *coeffs):
-                    assert type(c) is Fraction
-                    assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
-                assert coeffs[-1] != 0
-        # The integer forms themselves: each term over its content gcd.
-        for form in odesolve._solve_forms(ms):
-            for (mu_num, mu_den), (den, nums) in form.items():
-                assert mu_den > 0 and math.gcd(mu_num, mu_den) == 1
-                assert den > 0 and nums[-1] != 0 and math.gcd(den, *nums) == 1
+        assert_lowest_terms(ms, forms)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_rate_repeated_along_a_path_solves_exactly(self, data):
+        # One rate on a path of k >= 3 indices, each fed by the next, whose
+        # last starts nonzero with no input: the e^{lam t} term of index 0 then
+        # has degree exactly k - 1, so the resonant recurrence runs to degree
+        # >= 2 (the shape of ou-env's high moments), on denominators up to 10^6.
+        k = data.draw(st.integers(min_value=3, max_value=5))
+        n = k + data.draw(st.integers(min_value=0, max_value=2))
+        lam = data.draw(HARD)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            matrix[i][i] = lam if i < k else data.draw(HARD.filter(lambda x: x != lam))
+            if i != k - 1:
+                for j in range(i + 1, n):
+                    matrix[i][j] = data.draw(HARD if j == i + 1 < k else st.one_of(st.just(0), HARD))
+        constants = [0 if i == k - 1 else data.draw(st.one_of(st.just(0), HARD)) for i in range(n)]
+        m0 = [data.draw(HARD if i == k - 1 else st.one_of(st.just(0), HARD)) for i in range(n)]
+        ms = synthetic_system(matrix, m0, constants=constants)
+        forms = solve_closed_form_vector(ms)
+        assert_exact_solution(ms, forms)
+        assert_lowest_terms(ms, forms)
+        assert len(dict(forms[0].terms)[lam]) == k
 
 
 # ---------------------------------------------------------------------------
@@ -1276,6 +1307,15 @@ class TestGoldenForms:
     def test_form_bytes_unchanged(self, recorded, case):
         form, kind, _ = best_closed_form(golden_moment(case))
         assert {"kind": kind, "form": str(form)} == recorded[case]
+
+    def test_gene_third_moment_form_bytes_unchanged(self):
+        # gene E[x5^3], dim 295 and 94 rates, has the largest integers of the
+        # cheap closures; its printed form (12 kB) is pinned by its digest.
+        ms = build_closure(load_benchmark("gene"), Monomial((0, 0, 0, 0, 3)))
+        form, kind, _ = best_closed_form(FunctionalMoment(ms, (F(1),) + (F(0),) * (ms.dimension - 1), F(0)))
+        assert (ms.dimension, kind) == (295, "exact-rational")
+        digest = hashlib.sha256(str(form).encode()).hexdigest()
+        assert digest == "02df26f476487c532aabc96276c720e266172ecdf4810765ad880e0c7104f84a"
 
 
 class TestFloatPath:

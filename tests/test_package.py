@@ -1,5 +1,5 @@
 """The package's export list, a lint for leftover names in its modules, and
-the two scripts in scripts/, run in-process."""
+the scripts in scripts/, run in-process."""
 
 import ast
 import runpy
@@ -107,3 +107,14 @@ def test_mc_convergence_ladder(monkeypatch, capsys):
     assert lines[0].startswith("exact E[x1^2](0.5) = ")
     assert [float(line.split()[0]) for line in lines[2:]] == [0.125, 0.0625]
 
+
+
+def test_exact_scaling_table(monkeypatch, capsys):
+    # One child process per target; each row is measured in its own process.
+    lines = run_script(monkeypatch, capsys, "exact_scaling.py", "ou-env:0,2", "gene:1,0,0,0,1")
+    header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert header == ["target", "dim", "nnz", "rates", "seconds", "peak_rss_mb", "fraction_bits", "int_bits"]
+    assert [row[:2] for row in rows] == [["ou-env:0,2", "8"], ["gene:1,0,0,0,1", "23"]]
+    for row in rows:
+        rates, seconds, rss, fraction_bits, int_bits = map(float, row[3:])
+        assert rates >= 1 and seconds >= 0 and rss > 0 and min(fraction_bits, int_bits) >= 1
