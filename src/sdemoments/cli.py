@@ -44,7 +44,7 @@ from .odesolve import (
     linear_functional_moment,
     markov_tail_bound,
 )
-from .poly import Monomial, ParseError, parse_polynomial
+from .poly import Monomial, ParseError, Polynomial, parse_polynomial
 from .prosolve import (
     CertificateError,
     certify_closure,
@@ -558,6 +558,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             markov_tail_bound(0.0, args.markov_threshold, args.power)
         except ValueError as exc:
             raise _CliFailure(f"bad tail-bound arguments: {exc}", EXIT_USAGE)
+        root = Polynomial(model.dimension, coeffs).root(args.power)
+        if root is None:
+            raise _CliFailure(f"the tail bound needs E[Z^{args.power}] for a polynomial Z, not {label}", EXIT_USAGE)
     for flag, value in (("--lower", args.lower), ("--upper", args.upper), ("--tail-exp", args.tail_exp)):
         if value is not None and not math.isfinite(value):
             raise _CliFailure(f"{flag} must be finite, got {value:g}", EXIT_USAGE)
@@ -578,11 +581,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(outcome.describe(), file=sys.stderr)
         return EXIT_DIVERGENCE
     values = outcome.eval_numeric(times)
+    if args.markov_threshold is not None and (values < 0).any():
+        raise OdeSolveError(f"the even moment {label} is negative at some time: {values.min():.9g}")
 
     tolerance = 1e-9
     all_ok = True
     print(f"model: {model.name}")
     print(f"target: {label}")
+    if args.markov_threshold is not None:
+        print(f"Z = {root.to_text(model.variables)}")
     for t, value in zip(times, values):
         checks: list[str] = []
         ok = True
@@ -595,7 +602,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ok = ok and good
             checks.append(f"<= {args.upper:g}: {'pass' if good else 'FAIL'}")
         if args.markov_threshold is not None:
-            bound = markov_tail_bound(max(float(value), 0.0), args.markov_threshold, args.power)
+            bound = markov_tail_bound(float(value), args.markov_threshold, args.power)
             checks.append(
                 f"P(|Z| >= {args.markov_threshold:g}) <= {bound:.6g}"
             )
@@ -675,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--markov-threshold",
         type=float,
-        help="report the tail bound P(|Z| >= threshold) via the even-power moment",
+        help="report the tail bound P(|Z| >= threshold) <= E[Z^power] / threshold^power; the target must be Z^power",
     )
     p_verify.add_argument("--power", type=int, help="even moment power for the tail bound")
     p_verify.add_argument(

@@ -24,8 +24,10 @@ Expressions follow the grammar in `poly`; rationals are strings such as "1",
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +44,16 @@ _BENCHMARK_NAMES = (
     "coupled3d",
     "double-well",
 )
+
+
+def _lazy_numpy():
+    """numpy, run on its first attribute access (importlib.util.LazyLoader)."""
+    if "numpy" not in sys.modules:
+        spec = importlib.util.find_spec("numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["numpy"])
+    return sys.modules["numpy"]
 
 
 class ModelError(ValueError):

@@ -12,28 +12,26 @@ bits of its raw 64-bit words in order, drawn per 64 steps and unpacked per
 8, so an estimate depends neither on later record times nor on the cone.
 Per-block partial sums are pairwise reductions, combined across blocks in
 fixed order with compensated summation.  The exact blow-up check runs only
-when the state's sum of squares exceeds the limit squared.
+when the state's sum of squares exceeds the limit squared.  numpy loads on
+first use, before the pool starts: LazyLoader is not thread-safe on 3.11.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .model import InitialCondition, SdeModel
+from .model import InitialCondition, SdeModel, _lazy_numpy
 from .poly import Monomial, Polynomial
 from .prosolve import build_dependency_graph
+
+np = _lazy_numpy()
 
 _PATH_BLOCK = 2048  # paths simulated together (vectorized)
 _STEP_CHUNK = 64  # steps per noise draw; a multiple of 64 uses whole words
 _SIGN_STEPS = 8  # steps per unpacking of signs; 8 steps are whole bytes
-# Row b: the bits of byte b, most significant first, as -1.0 (0) or 1.0 (1).
-_BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) * 2.0 - 1.0
 _BLOWUP_LIMIT = 1e12
 _DOT_SPAN = 8192  # elements per guard dot; BLAS threads longer ones, at a loss
 
@@ -162,6 +160,7 @@ def _simulate_block(
     first_path: int,
     block_paths: int,
     record_steps: Sequence[int],
+    byte_signs: np.ndarray,
 ) -> list[tuple[float, float]]:
     """Simulate one contiguous block of paths; return (sum, sum of squares)
     of the functional at each record step, pairwise-reduced."""
@@ -201,7 +200,7 @@ def _simulate_block(
                 draw = min(_STEP_CHUNK, total_steps - step) * chunk_bytes  # bits
                 raw = bits.random_raw(-(-draw // 64)).astype("<u8").view(np.uint8)
             first = step % _STEP_CHUNK * chunk_bytes // _SIGN_STEPS
-            signs = np.take(_BYTE_SIGNS, raw[first : first + chunk_bytes], axis=0).reshape(-1)
+            signs = np.take(byte_signs, raw[first : first + chunk_bytes], axis=0).reshape(-1)
             count = min(_SIGN_STEPS, total_steps - step) * chunk_bytes
             signs = list(signs[:count].reshape(-1, ev.brownian_dim, block_paths)[:, columns])
         np.matmul(coef, rows, out=increment)
@@ -264,8 +263,11 @@ def _functional_estimates(
     blocks = [(first, min(_PATH_BLOCK, cfg.paths - first))
               for first in range(0, cfg.paths, _PATH_BLOCK)]
 
+    from concurrent.futures import ThreadPoolExecutor
+    # Row b: the bits of byte b, most significant first, as -1.0 (0) or 1.0 (1).
+    signs = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) * 2.0 - 1.0
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(lambda b: _simulate_block(ev, cfg, start, *b, record_steps), blocks))
+        results = list(pool.map(lambda b: _simulate_block(ev, cfg, start, *b, record_steps, signs), blocks))
 
     estimates = []
     for idx, t in enumerate(cfg.record_times):

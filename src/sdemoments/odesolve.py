@@ -40,6 +40,7 @@ else numeric only.
 
 Also: Markov tail bounds and linear functionals of moments (e.g. the second
 moment of a difference of states), which share one closure across targets.
+numpy runs on first numeric use, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from itertools import chain, groupby
 from operator import add
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from .closure import ClosureBudget, DivergenceReport, MomentSystem, build_closure_multi
-from .model import SdeModel
+from .model import SdeModel, _lazy_numpy
 from .poly import Monomial
+
+np = _lazy_numpy()
 
 Scalar = Union[Fraction, float, complex]
 

@@ -105,6 +105,14 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _iroot(n: int, p: int) -> int:
+    """The floor of n^(1/p) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // p)  # above n^(1/p)
+    while (y := ((p - 1) * x + n // x ** (p - 1)) // p) < x:
+        x = y
+    return x
+
+
 TermsLike = Mapping[Union[Monomial, tuple[int, ...]], Scalar]
 
 
@@ -232,6 +240,31 @@ class Polynomial:
         for _ in range(exponent):
             result = result * self
         return result
+
+    def root(self, p: int) -> "Polynomial | None":
+        """The Q with Q^p == self, its leading coefficient positive for even p,
+        or None when self is no p-th power in Q[x].  Q is built from the leading
+        term down, one term per step, and returned only once Q^p is exactly self."""
+        if not isinstance(p, int) or p < 1:
+            raise ValueError("root requires a positive integer degree")
+        if self.is_zero():
+            return self
+        top, c = max(self.terms.items())
+        if c < 0 and p % 2 == 0:
+            return None
+        last = Monomial(tuple(e // p for e in top.exponents))
+        lead = Fraction(_iroot(abs(c.numerator), p), _iroot(c.denominator, p))
+        q = Polynomial.monomial(last, lead if c > 0 else -lead)
+        # Each next term of Q is the residual's leading term over p * lead^(p-1).
+        [(shift, d)] = (q ** (p - 1) * p).terms.items()
+        while not (rest := self - q**p).is_zero():
+            mono, c = max(rest.terms.items())
+            exps = tuple(a - b for a, b in zip(mono.exponents, shift.exponents))
+            if any(e < 0 for e in exps) or not Monomial(exps) < last:
+                return None  # terms must strictly decrease, so the loop ends
+            last = Monomial(exps)
+            q += Polynomial.monomial(last, c / d)
+        return q
 
     def partial(self, var: int) -> "Polynomial":
         """Partial derivative with respect to variable index `var` (0-based)."""

@@ -660,6 +660,39 @@ class TestVerify:
         assert "P(|Z| >= 0.1)" in out
         assert "overall: PASS" in out
 
+    @pytest.mark.parametrize(
+        "target",
+        [["--alpha", "1,0", "--tail-exp", "50"], ["--functional", "x1^2 - 5"]],
+        ids=["odd-moment", "negative-functional"],
+    )
+    def test_tail_bound_refuses_a_target_that_is_no_square(self, capsys, target):
+        # Both printed "P(|Z| >= 0.01) <= 0" and PASS: E[x1] = 0 is no
+        # E[Z^2], and E[x1^2 - 5] < 0 was clamped to 0.
+        code, out, err = run_cli(
+            capsys, "verify", OU_ENV, *target, "--markov-threshold", "0.01", "--power", "2", "--times", "1,2"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "the tail bound needs E[Z^2] for a polynomial Z" in err
+
+    def test_tail_bound_prints_its_root(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", OU_ENV, "--alpha", "2,0", "--markov-threshold", "1", "--power", "2", "--times", "1"
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[2] == "Z = x1"
+        assert "PASS t=1 value=0.432332358 P(|Z| >= 1) <= 0.432332" in out
+
+    def test_negative_even_moment_is_an_error(self, capsys, monkeypatch):
+        exact = odesolve.FunctionalMoment.eval_numeric
+        monkeypatch.setattr(odesolve.FunctionalMoment, "eval_numeric", lambda self, times: exact(self, times) - 1)
+        code, out, err = run_cli(
+            capsys, "verify", OU_ENV, "--alpha", "2,0", "--markov-threshold", "1", "--power", "2", "--times", "1"
+        )
+        assert code == EXIT_MODEL_ERROR
+        assert out == ""
+        assert "the even moment E[x^(2,0)] is negative" in err
+
     def test_requires_some_check(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", CONSENSUS, "--functional", "(x1 - x2)^2"
@@ -924,6 +957,60 @@ class TestNumericFailure:
         assert "numeric evaluation failed: moment evaluation overflowed at t=10" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+
+class TestFreshProcessNumpy:
+    """numpy runs on first numeric use: importing the package and running
+    the exact commands never execute it."""
+
+    def test_symbolic_commands_never_execute_numpy(self):
+        symbolic = [
+            ["check", str(BENCHMARKS / "gene.json")],
+            ["closure", OU_ENV, "--alpha", "0,3", "--rows"],
+            ["closure", OU_ENV, "--alpha", "0,3", "--json"],
+            ["table1"],
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "import sdemoments, sdemoments.cli\n"
+            "def run(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert sdemoments.cli.main(argv) == 0, argv\n"
+            "    return 'numpy._core' in sys.modules\n"
+            "seen = ['numpy._core' in sys.modules]\n"
+            f"seen += [run(argv) for argv in {symbolic!r}]\n"
+            f"seen.append(run(['moment', {OU_ENV!r}, '--alpha', '0,2', '--times', '1']))\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([False] * 5 + [True])
+
+    def test_simulate_loads_numpy_before_its_pool(self):
+        # The first numeric call of the process is a simulation on three
+        # path blocks.  numpy must have loaded before the pool starts, as
+        # LazyLoader is not thread-safe on Python 3.11, and the bytes must
+        # not depend on the worker count.
+        code = (
+            "import concurrent.futures, sys\n"
+            "import sdemoments.cli\n"
+            "start = concurrent.futures.ThreadPoolExecutor.__init__\n"
+            "def init(self, *args, **kwargs):\n"
+            "    assert 'numpy._core' in sys.modules, 'the pool started before numpy loaded'\n"
+            "    start(self, *args, **kwargs)\n"
+            "concurrent.futures.ThreadPoolExecutor.__init__ = init\n"
+            "sys.exit(sdemoments.cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["simulate", OU_ENV, "--alpha", "1,2", "--times", "0.25,0.5", "--dt", "0.01", "--paths", "5000"]
+        outputs = []
+        for workers in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv, "--workers", workers, "--json"], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["estimates"][0]["paths"] == 5000
 
 
 class TestModuleEntry:

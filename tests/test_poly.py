@@ -237,6 +237,64 @@ class TestPartial:
 
 
 # ---------------------------------------------------------------------------
+# Exact p-th roots
+# ---------------------------------------------------------------------------
+
+
+BIG = "1099511627776*x1 + 717897987691852588770249/40353607"
+
+
+class TestRoot:
+    names = ("x1", "x2")
+
+    @settings(max_examples=60)
+    @given(poly_dicts(2, max_degree=3, max_terms=4), st.integers(min_value=1, max_value=4))
+    def test_root_of_a_power_is_that_polynomial_up_to_sign(self, a, p):
+        q = from_dict(2, a)
+        root = (q**p).root(p)
+        assert root in (q, -q)
+        if p % 2 == 0 and not q.is_zero():
+            assert root.sorted_terms()[0][1] > 0
+        else:
+            assert root == q
+
+    @settings(max_examples=60)
+    @given(poly_dicts(2, max_degree=3, max_terms=4))
+    def test_a_square_plus_one_is_no_square(self, a):
+        # (R - Q)(R + Q) = 1 forces both to be constants.
+        q = from_dict(2, a)
+        if q.degree > 0:
+            assert (q**2 + Polynomial.constant(2, 1)).root(2) is None
+
+    @pytest.mark.parametrize(
+        "text, p, want",
+        [
+            ("x1^2 - 5", 2, None),
+            ("x1", 2, None),
+            ("x1^3", 2, None),
+            ("x1^2 + x1", 2, None),
+            ("2*x1^2", 2, None),
+            ("-x1^2", 2, None),
+            ("(x1 - x2)^2", 4, None),
+            ("4/9*x1^2*x2^4", 2, "2/3*x1*x2^2"),
+            ("(x1 - x2)^2", 2, "x1 - x2"),
+            ("(x1^2 + 1/3*x2 - 2)^4", 4, "x1^2 + 1/3*x2 - 2"),
+            ("-(x1 + x2)^3", 3, "-x1 - x2"),
+            # 2^40*x1 + 3^50/7^9: roots wider than the 53 bits of a float
+            (f"({BIG})^6", 6, BIG),
+        ],
+    )
+    def test_examples(self, text, p, want):
+        root = parse_polynomial(text, self.names).root(p)
+        assert (root if root is None else root.to_text(self.names)) == want
+
+    @pytest.mark.parametrize("p", [0, -2, 1.0])
+    def test_degree_must_be_a_positive_integer(self, p):
+        with pytest.raises(ValueError):
+            Polynomial.variable(2, 0).root(p)
+
+
+# ---------------------------------------------------------------------------
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
