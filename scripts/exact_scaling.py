@@ -6,11 +6,13 @@ solve_closed_form on it.  Columns: the closure's dimension and nonzeros, the
 form's distinct rates, the seconds, the peak resident set (ru_maxrss), and the
 largest numerator or denominator bit length of the printed Fractions and of
 the solver's integer form of the target (one denominator over int
-numerators).  Targets are MODEL:E1,E2,...
+numerators).  Targets are MODEL:E1,E2,...  A first argument --closure times
+the closure build, `closure --rows` and `closure --json`, a fresh process each.
 
     PYTHONPATH=src python scripts/exact_scaling.py [TARGET ...]
 """
 
+import contextlib
 import json
 import resource
 import subprocess
@@ -18,6 +20,7 @@ import sys
 import time
 
 DEFAULT = ["gene:0,0,0,0,3", "gene:0,0,0,0,4", "gene:0,0,0,0,5"]
+LADDER = [f"ou-env:{k},{k}" for k in (8, 16, 24, 33)]  # dim 148, 552, 1,212 and 2,260
 
 
 def measure(target: str) -> dict:
@@ -44,13 +47,30 @@ def measure(target: str) -> dict:
     }
 
 
+def measure_closure(target: str, step: str) -> dict:
+    from sdemoments import Monomial, build_closure, cli, load_benchmark, model
+
+    name, alpha = target.split(":")
+    bench, path = load_benchmark(name), str(model.benchmarks_dir() / f"{name}.json")
+    started = time.perf_counter()
+    with open("/dev/null", "w") as sink, contextlib.redirect_stdout(sink):
+        row = {"dim": build_closure(bench, Monomial(tuple(map(int, alpha.split(","))))).dimension} if step == "build" else {}
+        if step != "build" and cli.main(["closure", path, "--alpha", alpha, f"--{step}"]):
+            raise SystemExit(f"closure --{step} failed on {target}")
+    seconds, rss = time.perf_counter() - started, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return row | {f"{step}_s": round(seconds, 3), f"{step}_mb": round(rss, 1)}
+
+
 def main(argv: list[str]) -> None:
     if argv[:1] == ["--child"]:
-        print(json.dumps(measure(argv[1])))
+        print(json.dumps(measure_closure(*argv[1:]) if argv[2:] else measure(argv[1])))
         return
-    for i, target in enumerate(argv or DEFAULT):
-        child = [sys.executable, __file__, "--child", target]
-        row = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
+    closure = argv[:1] == ["--closure"]
+    for i, target in enumerate(argv[closure:] or (LADDER if closure else DEFAULT)):
+        row = {"target": target}
+        for step in (["build"], ["rows"], ["json"]) if closure else [[]]:
+            child = [sys.executable, __file__, "--child", target, *step]
+            row |= json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
         if not i:
             print("| " + " | ".join(row) + " |\n|" + "---|" * len(row))
         print("| " + " | ".join(map(str, row.values())) + " |", flush=True)

@@ -251,8 +251,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _format_row(row: tuple, constant: Fraction, labels: list[str]) -> str:
-    parts = [f"{coeff} * {labels[col]}" for col, coeff in row]
+def _format_row(row: tuple, constant: Fraction, refs: list[str], text: dict) -> str:
+    """One `--rows` right-hand side; refs[col] is " * m(...)", `text` maps id(coeff) -> str."""
+    parts = [(text.get(id(c)) or text.setdefault(id(c), str(c))) + refs[col] for col, c in row]
     if constant:
         parts.append(str(constant))
     return " + ".join(parts) if parts else "0"
@@ -279,8 +280,9 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     print(f"build time: {elapsed:.4f} s")
     if args.rows:
         labels = [f"m{beta}" for beta in result.indices]
+        refs, text = [" * " + label for label in labels], {}  # result.rows keeps each coeff alive
         for label, row, constant in zip(labels, result.rows, result.vector_c):
-            print(f"d/dt {label} = {_format_row(row, constant, labels)}")
+            sys.stdout.write(f"d/dt {label} = {_format_row(row, constant, refs, text)}\n")
         print(f"m(0) = [{', '.join(str(v) for v in result.m0)}]")
     return EXIT_OK
 

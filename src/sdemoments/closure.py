@@ -121,12 +121,12 @@ class MomentSystem:
 
     def to_json(self, out: TextIO, **extra) -> None:
         """Write json.dumps({**self.to_json_dict(), **extra}, indent=2) and a
-        newline to `out`, byte for byte, one matrix row at a time; this is
-        what `closure --json` prints.  `extra` keys follow "initial".  Every
-        zero cell is the same 11 characters, so a row is slices of one
-        precomputed all-zero row with its nonzeros spliced in, and the dense
-        cells never exist.  All of it is plain string work (json.dumps with
-        an indent is pure Python), but for the model name and `extra`."""
+        newline to `out`, byte for byte; this is what `closure --json` prints.
+        `extra` keys follow "initial".  Every zero cell is the same 11
+        characters, so a row is slices of one precomputed all-zero row with
+        its nonzeros spliced in, and the dense cells never exist.  Each row is
+        one write, so `out` gets O(n) strings, never one per nonzero: a
+        buffering writer keeps what it is given until it is flushed."""
 
         def array(items, indent: str) -> str:  # as json.dumps(indent=2) nests it
             return "[\n  " + indent + (",\n  " + indent).join(items) + "\n" + indent + "]"
@@ -135,17 +135,20 @@ class MomentSystem:
         out.write(f'{{\n  "model": {json.dumps(self.model_name)},\n  "indices": {indices},')
         out.write('\n  "matrix": [')
         zeros = ',\n      "0"' * self.dimension
-        sep = "\n"
+        cells = {}  # id(coefficient) -> its cell; self.rows keeps every coefficient alive
+        head = "\n    ["
         for row in self.rows:
-            cells = []
-            done = 0
+            parts = [head]
+            done = 1  # the first cell has no leading comma
             for col, coeff in row:
-                cells += (zeros[done : col * 11], f',\n      "{coeff}"')
+                cell = cells.get(id(coeff)) or cells.setdefault(id(coeff), f',\n      "{coeff}"')
+                parts += (zeros[done : col * 11], cell)
                 done = (col + 1) * 11
-            cells.append(zeros[done:])
-            # [1:] drops the first cell's leading comma.
-            out.write(sep + "    [" + "".join(cells)[1:] + "\n    ]")
-            sep = ",\n"
+            if row and not row[0][0]:  # a nonzero first cell
+                parts[2] = parts[2][1:]
+            parts += (zeros[done:], "\n    ]")
+            out.write("".join(parts))
+            head = ",\n    ["
         out.write("\n  ]")
         for key, values in (("constant", self.vector_c), ("initial", self.m0)):
             out.write(f',\n  "{key}": ' + array((f'"{v}"' for v in values), "  "))
@@ -213,7 +216,8 @@ def build_closure_multi(
     discovered = [s.exponents for s in seeds]
     codes = [encode(e, base) for e in discovered]
     parents = [-1] * len(seeds)  # position of the index whose image found it
-    member = set(codes)
+    position = {g: i for i, g in enumerate(codes)}  # every code met so far -> its index
+    powers = [base ** (n - 1 - v) for v in range(n)]
     images, constants = [], []  # the constant terms (code 0) are split off the images
 
     head = 0
@@ -221,22 +225,23 @@ def build_closure_multi(
         image = gen.image(discovered[head], codes[head], table)
         constants.append(image.pop(0, 0))
         images.append(image)
-        # New monomials enter in descending graded-lex order within one image.
-        new = sorted(image.keys() - member, reverse=True)
-        if new and new[0] // base**n > budget.max_total_degree:  # the leading digit is the degree
-            return _divergence("degree", decode(new[0], base, n), head, discovered, parents)
-        room = budget.max_monomials - len(discovered)
-        taken = new[:room]
-        member.update(taken)
-        codes += taken
-        discovered += [decode(g, base, n) for g in taken]
-        parents += [head] * len(taken)
-        if len(new) > room:
-            return _divergence("monomial-count", decode(new[room], base, n), head, discovered, parents)
+        new = [g for g in image if g not in position]
+        if new:
+            # New monomials enter in descending graded-lex order within one image.
+            new.sort(reverse=True)
+            if new[0] // base**n > budget.max_total_degree:  # the leading digit is the degree
+                return _divergence("degree", decode(new[0], base, powers), head, discovered, parents)
+            room = budget.max_monomials - len(discovered)
+            for g in new[:room]:
+                position[g] = len(codes)
+                codes.append(g)
+                discovered.append(decode(g, base, powers))
+                parents.append(head)
+            if len(new) > room:
+                return _divergence("monomial-count", decode(new[room], base, powers), head, discovered, parents)
         head += 1
 
     indices = tuple(map(Monomial._trusted, discovered))
-    position = {g: i for i, g in enumerate(codes)}
     fraction = {v: Fraction(v, gen.denominator) for v in {0}.union(constants, *map(dict.values, images))}
     rows = tuple(
         tuple(sorted(zip(map(position.__getitem__, m), map(fraction.__getitem__, m.values()))))
@@ -249,7 +254,7 @@ def build_closure_multi(
         rows=rows,
         vector_c=tuple(map(fraction.__getitem__, constants)),
         m0=tuple(
-            fraction[0] if any(e[v] for v in zeros) else initial_moment(model.initial, mono)
+            fraction[0] if any(map(e.__getitem__, zeros)) else initial_moment(model.initial, mono)
             for e, mono in zip(discovered, indices)
         ),
         seed_count=len(seeds),

@@ -82,9 +82,9 @@ def encode(exponents: tuple[int, ...], base: int) -> int:
     return reduce(lambda code, e: code * base + e, exponents, sum(exponents))
 
 
-def decode(code: int, base: int, n: int) -> tuple[int, ...]:
-    """The exponent tuple of a code whose n exponents are all below `base`."""
-    return tuple(code // base ** (n - 1 - v) % base for v in range(n))
+def decode(code: int, base: int, powers: list[int]) -> tuple[int, ...]:
+    """The exponents (each below `base`) of a code; `powers` is [base**(n-1), ..., base, 1]."""
+    return tuple([code // p % base for p in powers])
 
 
 class Generator:
@@ -147,7 +147,8 @@ class Generator:
         e = beta.exponents
         base = max(e) + self.reach + 1
         image = self.image(e, encode(e, base), self.coded(base))
-        numerators = {decode(key, base, n): v for key, v in image.items()}
+        powers = [base ** (n - 1 - v) for v in range(n)]
+        numerators = {decode(key, base, powers): v for key, v in image.items()}
         return GeneratorImage(MappingProxyType(numerators), self.denominator)
 
     def apply_polynomial(self, p: Polynomial) -> Polynomial:

@@ -902,12 +902,18 @@ def linear_functional_moment(
 
 
 def markov_tail_bound(moment_value: float, threshold: float, power: int) -> float:
-    """P(|Z| >= threshold) <= E[|Z|^power] / threshold^power; `moment_value`
-    must be that even-power moment."""
+    """P(|Z| >= threshold) <= min(1, E[|Z|^power] / threshold^power);
+    `moment_value` must be that even-power moment."""
     if not threshold > 0:  # NaN too
         raise ValueError("threshold must be positive")
     if not isinstance(power, int) or power <= 0 or power % 2:
         raise ValueError("power must be a positive even integer")
     if not 0 <= moment_value < math.inf:  # NaN fails too
         raise ValueError("an even-power moment must be finite and non-negative")
-    return moment_value / threshold**power
+    try:
+        ratio = min(1.0, moment_value / threshold**power)
+    except ZeroDivisionError:  # threshold^power underflowed to 0.0
+        return 1.0
+    except OverflowError:  # threshold^power overflowed
+        ratio = 0.0
+    return ratio if ratio or not moment_value else math.ulp(0.0)  # a positive bound never rounds to 0

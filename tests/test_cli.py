@@ -683,6 +683,15 @@ class TestVerify:
         assert out.splitlines()[2] == "Z = x1"
         assert "PASS t=1 value=0.432332358 P(|Z| >= 1) <= 0.432332" in out
 
+    def test_tail_bound_is_at_most_one(self, capsys):
+        # E[(x1 - x2)^2] = 1 at t = 0 gave "<= 100" against a threshold of 0.1.
+        code, out, _ = run_cli(
+            capsys, "verify", CONSENSUS, "--functional", "(x1 - x2)^2", "--times", "0",
+            "--markov-threshold", "0.1", "--power", "2",
+        )
+        assert code == EXIT_OK
+        assert "PASS t=0 value=1 P(|Z| >= 0.1) <= 1\n" in out
+
     def test_negative_even_moment_is_an_error(self, capsys, monkeypatch):
         exact = odesolve.FunctionalMoment.eval_numeric
         monkeypatch.setattr(odesolve.FunctionalMoment, "eval_numeric", lambda self, times: exact(self, times) - 1)

@@ -7,12 +7,17 @@ import itertools
 import json
 import re
 from collections import deque
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sdemoments.cli as cli
 from sdemoments.cli import main
 from sdemoments.closure import (
     ClosureBudget,
@@ -295,6 +300,34 @@ class TestDivergence:
 # ---------------------------------------------------------------------------
 
 
+_COEFFICIENTS = st.fractions(min_value=-40, max_value=40, max_denominator=9).filter(bool)
+
+
+@st.composite
+def sparse_systems(draw) -> MomentSystem:
+    """Systems of dim 1-30: empty rows, nonzeros in the first and last column,
+    and coefficients that are one shared object or distinct equal objects."""
+    n = draw(st.integers(1, 30))
+    pool = draw(st.lists(_COEFFICIENTS, min_size=1, max_size=4))
+    cell = st.tuples(st.sampled_from([0, n - 1, *range(n)]), st.integers(0, 2 * len(pool) - 1))
+    rows = []
+    for cells in draw(st.lists(st.lists(cell, max_size=5), min_size=n, max_size=n)):
+        row = {}
+        for col, k in cells:  # k < len(pool) shares pool[k]; a larger k copies it
+            value = pool[k % len(pool)]
+            row[col] = value if k < len(pool) else Fraction(value.numerator, value.denominator)
+        rows.append(tuple(sorted(row.items())))
+    exponents = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=n, max_size=n, unique=True))
+    vectors = st.lists(st.sampled_from([Fraction(0), *pool]), min_size=n, max_size=n)
+    return MomentSystem(
+        model_name=draw(st.text(max_size=8)),
+        indices=tuple(map(Monomial, exponents)),
+        rows=tuple(rows),
+        vector_c=tuple(draw(vectors)),
+        m0=tuple(draw(vectors)),
+    )
+
+
 class TestSerialization:
     def test_json_dict_shape(self):
         model = load_benchmark("ou-env")
@@ -344,6 +377,56 @@ class TestSerialization:
     def test_spliced_model_name_that_json_escapes(self):
         ms = build_closure(load_benchmark("ou-env"), Monomial((0, 2)))
         self.assert_spliced(dataclasses.replace(ms, model_name='M\u00fcller "OU" \\ x\n\t'))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_spliced_rows_of_drawn_systems(self, data):
+        ms = data.draw(sparse_systems())
+        extra = data.draw(
+            st.dictionaries(
+                st.text(max_size=6).filter(lambda k: k not in ms.to_json_dict()),
+                st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=4)),
+                max_size=2,
+            )
+        )
+        self.assert_spliced(ms, **extra)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_systems())
+    def test_rows_lines_of_drawn_systems(self, ms):
+        """`closure --rows` prints each row as print(f"d/dt {label} = ...")
+        with "coeff * label" terms, then the constant, joined by " + "."""
+        labels = [f"m{beta}" for beta in ms.indices]
+        expected = []
+        for label, row, constant in zip(labels, ms.rows, ms.vector_c):
+            parts = [f"{coeff} * {labels[col]}" for col, coeff in row]
+            if constant:
+                parts.append(str(constant))
+            expected.append(f"d/dt {label} = {' + '.join(parts) if parts else '0'}")
+        expected.append(f"m(0) = [{', '.join(str(v) for v in ms.m0)}]")
+        out = io.StringIO()
+        with mock.patch.object(cli, "build_closure", lambda *args, **kwargs: ms), redirect_stdout(out):
+            assert main(["closure", str(REPO / "benchmarks" / "ou-env.json"), "--alpha", "1,0", "--rows"]) == 0
+        assert out.getvalue().splitlines()[4:] == expected
+
+    def test_one_write_per_row(self):
+        """O(n) writes, never one per nonzero: a buffering writer keeps every
+        string it is given, so per-cell writes would hold O(nnz) of them."""
+
+        class CountingWriter(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                self.calls += 1
+                return super().write(text)
+
+        ms = build_closure(load_benchmark("gene"), Monomial((0, 0, 0, 0, 2)))
+        nnz = sum(map(len, ms.rows))
+        out = CountingWriter()
+        ms.to_json(out, build_seconds=0.5)
+        assert out.calls <= ms.dimension + 8
+        assert nnz > 2 * (ms.dimension + 8)  # so a write per nonzero would fail the bound
+        assert out.getvalue() == json.dumps({**ms.to_json_dict(), "build_seconds": 0.5}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,138 @@
+"""Generated pro-solvable models through the symbolic chain.
+
+Every model drawn here is block triangular by construction: inside a block
+the drift is linear, and a block's entries may add any polynomial in the
+variables of earlier blocks.  The paper's theorem says every moment of such a
+model has a finite closure, so each drawn model must pass the structural
+check, and each drawn target must close, certify and re-derive exactly.  The
+negative twin adds x_i^2 to the drift of a last-block variable: that edge is
+nonlinear inside its own strongly connected component, and `check` must name
+it.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdemoments.cli import EXIT_CHECK_FAILED, main
+from sdemoments.closure import MomentSystem, build_closure, check_closedness
+from sdemoments.model import load_model
+from sdemoments.poly import Monomial, Polynomial
+from sdemoments.prosolve import DependencyEdge, certify_closure, check_prosolvable
+
+COEFFS = st.sampled_from([Fraction(c) for c in (-2, -1, "-1/2", "1/3", 1, "3/2")])
+
+
+def _unit(n: int, v: int) -> tuple[int, ...]:
+    return tuple(int(u == v) for u in range(n))
+
+
+@st.composite
+def _earlier_terms(draw, n: int, earlier: list[int], max_degree: int) -> dict:
+    """Up to two monomials of degree 1..max_degree in the earlier-block variables."""
+    if not earlier:
+        return {}
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        powers = [0] * n
+        for _ in range(draw(st.integers(1, max_degree))):
+            powers[draw(st.sampled_from(earlier))] += 1
+        terms[tuple(powers)] = draw(COEFFS)
+    return terms
+
+
+@st.composite
+def prosolvable_models(draw):
+    """(model JSON document, the blocks in order as lists of variable indices)."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))  # block slots -> variable indices
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(sorted(order[start : start + size]))
+        start += size
+    noises = draw(st.integers(1, 2))
+    drift, diffusion = [None] * n, [None] * n
+    for p, block in enumerate(blocks):
+        earlier = [v for b in blocks[:p] for v in b]
+        cyclic = len(block) == 2 and draw(st.booleans())
+        for i in block:
+            terms = draw(_earlier_terms(n, earlier, 2))  # feed-forward of degree <= 2
+            for j in block:  # linear inside the block; a cyclic block couples both ways
+                c = draw(COEFFS) if cyclic or j == i else draw(st.one_of(st.just(0), COEFFS))
+                terms[_unit(n, j)] = terms.get(_unit(n, j), 0) + c
+            terms[(0,) * n] = draw(st.one_of(st.just(0), COEFFS))
+            drift[i] = terms
+            row = []
+            for _ in range(noises):  # own-block linear plus an earlier-block polynomial
+                sigma = draw(_earlier_terms(n, earlier, 2))
+                if draw(st.booleans()):
+                    sigma[_unit(n, draw(st.sampled_from(block)))] = draw(COEFFS)
+                sigma[(0,) * n] = draw(st.one_of(st.just(0), COEFFS))
+                row.append(sigma)
+            diffusion[i] = row
+    names = [f"x{v + 1}" for v in range(n)]
+
+    def text(terms: dict) -> str:
+        return Polynomial(n, terms).to_text(names)
+
+    doc = {
+        "name": "generated",
+        "variables": names,
+        "brownian_dim": noises,
+        "drift": [text(t) for t in drift],
+        "diffusion": [[text(s) for s in row] for row in diffusion],
+        "initial": {"kind": "point", "values": [str(draw(COEFFS)) for _ in range(n)]},
+    }
+    return doc, blocks
+
+
+@st.composite
+def targets(draw, n: int, last: list[int]) -> Monomial:
+    """Degree 1..3, with a last-block factor so that the feed-forward is reached."""
+    powers = [0] * n
+    powers[draw(st.sampled_from(last))] += 1
+    for _ in range(draw(st.integers(0, 2))):
+        powers[draw(st.integers(0, n - 1))] += 1
+    return Monomial(tuple(powers))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_generated_models_close_certify_and_rederive(data):
+    doc, blocks = data.draw(prosolvable_models())
+    model = load_model(json.dumps(doc))
+    verdict = check_prosolvable(model)
+    assert verdict.prosolvable, doc
+    alpha = data.draw(targets(model.dimension, blocks[-1]))
+    ms = build_closure(model, alpha)
+    assert isinstance(ms, MomentSystem), doc
+    assert ms.indices[0] == alpha
+    certify_closure(model, verdict.partition, ms)
+    assert check_closedness(model, ms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_square_in_a_last_block_drift_is_named(data):
+    doc, blocks = data.draw(prosolvable_models())
+    i = data.draw(st.sampled_from(blocks[-1]))
+    name = doc["variables"][i]
+    doc["drift"][i] += f" + {name}^2"
+    verdict = check_prosolvable(load_model(json.dumps(doc)))
+    assert not verdict.prosolvable
+    assert verdict.violation[0] == DependencyEdge(source=i, target=i, nonlinear=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["check", path]) == EXIT_CHECK_FAILED
+    assert f"violation: dependency {name} -> {name} (nonlinear)\n" in out.getvalue()

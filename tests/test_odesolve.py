@@ -1524,6 +1524,16 @@ class TestMarkovBound:
         assert markov_tail_bound(0.04, 0.2, 2) == pytest.approx(1.0)
         assert markov_tail_bound(0.0016, 0.2, 4) == pytest.approx(1.0)
 
+    def test_bound_is_a_probability(self):
+        # E[Z^2] / a^2 = 100 says nothing; a probability is at most 1.
+        assert markov_tail_bound(1.0, 0.1, 2) == 1.0
+        assert markov_tail_bound(1e300, 1e-300, 4) == 1.0  # a^p underflows to 0.0
+        # A positive bound stays positive when a^p overflows or the ratio underflows.
+        assert markov_tail_bound(1.0, 1e200, 2) == math.ulp(0.0)
+        assert markov_tail_bound(1e-300, 1e100, 2) == math.ulp(0.0)
+        assert markov_tail_bound(0.0, 1e200, 2) == 0.0
+        assert markov_tail_bound(0.01, 0.2, 2) == pytest.approx(0.25)
+
     def test_threshold_must_be_positive(self):
         for threshold in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
