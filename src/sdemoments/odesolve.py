@@ -443,10 +443,6 @@ class ClosedForm:
         cleaned.sort(key=sort_key)
         return ClosedForm(terms=tuple(cleaned), scalar_kind=scalar_kind)
 
-    @staticmethod
-    def constant(value: Fraction) -> "ClosedForm":
-        return ClosedForm.build({Fraction(0): [value]}, "exact-rational")
-
     def evaluate(self, t: float) -> float:
         if self.scalar_kind == "exact-rational":
             return _decimal_sum(self.terms, t)
@@ -457,43 +453,6 @@ class ClosedForm:
                 poly = poly * t + complex(c)
             total += poly * cmath.exp(complex(lam) * t)
         return total.real
-
-    def at_zero(self) -> Scalar:
-        """Exact value at t = 0 (sum of degree-0 coefficients)."""
-        return sum((coeffs[0] for _, coeffs in self.terms), _ZERO)
-
-    def derivative(self) -> "ClosedForm":
-        out: dict[Scalar, list[Scalar]] = {}
-        for lam, coeffs in self.terms:
-            slope = [d * c for d, c in enumerate(coeffs)][1:] + [0]  # of the t-polynomial
-            out[lam] = [lam * c + s for c, s in zip(coeffs, slope)]
-        return ClosedForm.build(out, self.scalar_kind)
-
-    def scale(self, factor: Scalar) -> "ClosedForm":
-        if factor == 0:
-            return ClosedForm(terms=(), scalar_kind=self.scalar_kind)
-        return ClosedForm.build(
-            {lam: [factor * c for c in coeffs] for lam, coeffs in self.terms},
-            self.scalar_kind,
-        )
-
-    def __add__(self, other: "ClosedForm") -> "ClosedForm":
-        if not isinstance(other, ClosedForm):
-            return NotImplemented
-        if self.scalar_kind != other.scalar_kind:
-            raise ValueError(f"cannot add a {self.scalar_kind} form to a {other.scalar_kind} form")
-        merged: dict[Scalar, list[Scalar]] = {}
-        for lam, coeffs in self.terms + other.terms:
-            acc = merged.setdefault(lam, [])
-            for d, c in enumerate(coeffs):
-                if d < len(acc):
-                    acc[d] = acc[d] + c
-                else:
-                    acc.append(c)
-        return ClosedForm.build(merged, self.scalar_kind)
-
-    def __sub__(self, other: "ClosedForm") -> "ClosedForm":
-        return self + other.scale(-1)
 
     # -- text ---------------------------------------------------------------
 

@@ -266,33 +266,6 @@ class Polynomial:
             q += Polynomial.monomial(last, c / d)
         return q
 
-    def partial(self, var: int) -> "Polynomial":
-        """Partial derivative with respect to variable index `var` (0-based)."""
-        if not 0 <= var < self.dimension:
-            raise IndexError(f"variable index {var} out of range for dimension {self.dimension}")
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exponents[var]
-            if e:
-                lowered = list(mono.exponents)
-                lowered[var] = e - 1
-                out[Monomial(tuple(lowered))] = coeff * e
-        return self._raw(self.dimension, out)
-
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact evaluation at a rational point."""
-        if len(point) != self.dimension:
-            raise ValueError(f"point has length {len(point)}, expected {self.dimension}")
-        values = [_as_fraction(x) for x in point]
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(values, mono.exponents):
-                if e:
-                    term *= x**e
-            total += term
-        return total
-
     @classmethod
     def _raw(cls, dimension: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
         # Internal fast path: `terms` is already canonical.

@@ -38,7 +38,9 @@ from sdemoments import (
     simulate_functional,
     simulate_moment,
     solve_closed_form,
+    solve_closed_form_vector,
 )
+from test_odesolve import assert_exact_solution
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -265,6 +267,16 @@ def _random_polynomial(rng: random.Random, dimension: int) -> Polynomial:
     return Polynomial(dimension, terms)
 
 
+def _partial(p: Polynomial, var: int) -> Polynomial:
+    """d p / d x_var, term by term."""
+    terms = {}
+    for mono, c in p.terms.items():
+        e = mono.exponents
+        if e[var]:
+            terms[Monomial(e[:var] + (e[var] - 1,) + e[var + 1 :])] = c * e[var]
+    return Polynomial(p.dimension, terms)
+
+
 @_gate(8, "closedness + certificates + residuals + Leibniz + determinism")
 def test_criterion_8_property_roll_up():
     # (a) Every finite closure in the size table is closed under the
@@ -287,15 +299,7 @@ def test_criterion_8_property_roll_up():
     # (c) The exact closed forms satisfy their own ODE identically:
     #     cf_r' - sum_k A[r][k] cf_k - c_r == 0 with exact rationals.
     ms = _closure("ou-env", (0, 2))
-    forms = [solve_closed_form(ms, r) for r in range(ms.dimension)]
-    for r in range(ms.dimension):
-        residual = forms[r].derivative()
-        for k in range(ms.dimension):
-            residual = residual - forms[k].scale(ms.matrix_a[r][k])
-        residual = residual - type(forms[r]).build(
-            {F(0): [ms.vector_c[r]]}, "exact-rational"
-        )
-        assert residual.terms == (), f"row {r}"
+    assert_exact_solution(ms, solve_closed_form_vector(ms))
 
     # (d) Generator linearity and the second-order product rule
     #     A(fg) = f Ag + g Af + sum_ij (ss^T)_ij (d_i f)(d_j g)
@@ -315,7 +319,7 @@ def test_criterion_8_property_roll_up():
         correction = Polynomial.zero(model.dimension)
         for i in range(model.dimension):
             for j in range(model.dimension):
-                correction = correction + ss[i][j] * f.partial(i) * g.partial(j)
+                correction = correction + ss[i][j] * _partial(f, i) * _partial(g, j)
         assert gen.apply_polynomial(f * g) == (
             f * gen.apply_polynomial(g) + g * gen.apply_polynomial(f) + correction
         )

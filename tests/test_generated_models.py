@@ -4,10 +4,12 @@ Every model drawn here is block triangular by construction: inside a block
 the drift is linear, and a block's entries may add any polynomial in the
 variables of earlier blocks.  The paper's theorem says every moment of such a
 model has a finite closure, so each drawn model must pass the structural
-check, and each drawn target must close, certify and re-derive exactly.  The
-negative twin adds x_i^2 to the drift of a last-block variable: that edge is
-nonlinear inside its own strongly connected component, and `check` must name
-it.
+check, and each drawn target must close, certify and re-derive exactly.  Its
+exact forms must then have an identically zero ODE residual and match
+`eval_numeric`, or the solver must name a cyclic block's factor that has no
+rational root.  The negative twin adds x_i^2 to the drift of a last-block
+variable: that edge is nonlinear inside its own strongly connected component,
+and `check` must name it.
 """
 
 import contextlib
@@ -19,13 +21,16 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_odesolve import assert_exact_solution, assert_no_rational_root
 
 from sdemoments.cli import EXIT_CHECK_FAILED, main
 from sdemoments.closure import MomentSystem, build_closure, check_closedness
 from sdemoments.model import load_model
+from sdemoments.odesolve import ClosedFormUnsupported, eval_numeric, solve_closed_form_vector
 from sdemoments.poly import Monomial, Polynomial
 from sdemoments.prosolve import DependencyEdge, certify_closure, check_prosolvable
 
+TIMES = [0.5, 1.0, 2.0]
 COEFFS = st.sampled_from([Fraction(c) for c in (-2, -1, "-1/2", "1/3", 1, "3/2")])
 
 
@@ -116,6 +121,18 @@ def test_generated_models_close_certify_and_rederive(data):
     assert ms.indices[0] == alpha
     certify_closure(model, verdict.partition, ms)
     assert check_closedness(model, ms)
+    try:
+        forms = solve_closed_form_vector(ms)
+    except ClosedFormUnsupported as exc:
+        # Only a cyclic block whose spectrum is not rational may refuse.
+        assert max(map(len, ms.blocks)) > 1, doc
+        assert_no_rational_root(exc.remaining_factor)
+        return
+    assert_exact_solution(ms, forms)
+    numeric = eval_numeric(ms, TIMES)[:, 0]
+    exact = [forms[0].evaluate(t) for t in TIMES]
+    scale = max(map(abs, exact))
+    assert all(abs(x - y) <= 1e-10 * scale for x, y in zip(exact, numeric)), doc
 
 
 @settings(max_examples=40, deadline=None)

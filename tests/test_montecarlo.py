@@ -160,13 +160,17 @@ def _pinned_case():
     return model, functional, np.array([[1.5, -0.25, 2.0], [-1.75, 0.5, 1.0]])
 
 
+def _value(terms, point) -> Fraction:
+    """Exact value of sum c x^e over (monomial, c) terms at a rational point."""
+    return sum(c * math.prod(x**e for x, e in zip(point, mono.exponents)) for mono, c in terms)
+
+
 def _assert_matches(got, poly, points):
     for value, point in zip(got, points.T):
-        exact = poly.eval([Fraction(x) for x in point])
+        point = [Fraction(x) for x in point]
+        exact = _value(poly.terms.items(), point)
         # Relative to the sum of the absolute terms, as float rounding is.
-        magnitude = Polynomial(
-            poly.dimension, {mono: abs(c) for mono, c in poly.terms.items()}
-        ).eval([abs(Fraction(x)) for x in point])
+        magnitude = _value(((mono, abs(c)) for mono, c in poly.terms.items()), [abs(x) for x in point])
         assert abs(value - float(exact)) <= 1e-12 * float(magnitude)
 
 

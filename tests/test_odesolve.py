@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import defaultdict
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -632,7 +633,7 @@ class TestExactClosedForm:
         ms = self.build()
         forms = solve_closed_form_vector(ms)
         for form, m0 in zip(forms, ms.m0):
-            assert form.at_zero() == m0
+            assert at_zero(form) == m0
 
     def test_residual_identically_zero(self):
         # d/dt m = A m + c must hold term-for-term in exact arithmetic
@@ -660,7 +661,7 @@ class TestExactClosedForm:
         forms = solve_closed_form_vector(ms)
         assert len(forms) == ms.dimension
         for form, m0 in zip(forms, ms.m0):
-            assert form.at_zero() == m0
+            assert at_zero(form) == m0
 
     def test_vehicles_residual_identically_zero(self):
         ms = build_closure(load_benchmark("vehicles"), Monomial((0, 0, 2, 0)))
@@ -706,11 +707,11 @@ class TestConsensusStudy:
     def test_float_spectrum_is_decomposed_once(self, monkeypatch):
         fm = self.functional()
         assert sum(1 for w in fm.weights if w) == 3
-        per_component = ClosedForm((), "float")
+        per_component = {}  # rate -> the weighted sum of its coefficients
         for component, weight in enumerate(fm.weights):
             if weight:
-                part = solve_closed_form_float(fm.system, component)
-                per_component = per_component + part.scale(float(weight))
+                for lam, (c,) in solve_closed_form_float(fm.system, component).terms:
+                    per_component[lam] = per_component.get(lam, 0) + float(weight) * c
         eig = np.linalg.eig
         calls = []
 
@@ -726,10 +727,8 @@ class TestConsensusStudy:
         # the functional does not see; drop it at 1e-12 of the largest.  The
         # one dot product per mode rounds differently from the sum, in the
         # last bits only: the printed forms agree.
-        scale = max(abs(c) for _, coeffs in per_component.terms for c in coeffs)
-        kept = ClosedForm.build(
-            {lam: coeffs for lam, coeffs in per_component.terms if abs(coeffs[0]) > 1e-12 * scale}, "float"
-        )
+        scale = max(abs(c) for c in per_component.values())
+        kept = ClosedForm.build({lam: [c] for lam, c in per_component.items() if abs(c) > 1e-12 * scale}, "float")
         assert [lam for lam, _ in form.terms] == [lam for lam, _ in kept.terms]
         for (_, (got,)), (_, (want,)) in zip(form.terms, kept.terms):
             assert abs(got - want) <= 1e-15 * scale
@@ -771,7 +770,7 @@ class TestVehiclesStudy:
 
     def test_value_at_zero_is_initial_gap(self):
         cf = self.functional().closed_form_exact()
-        assert cf.at_zero() == 1  # p1(0) - p2(0) = 1 - 0
+        assert at_zero(cf) == 1  # p1(0) - p2(0) = 1 - 0
 
     def test_matches_numeric(self):
         fm = self.functional()
@@ -808,15 +807,84 @@ def synthetic_system(matrix, m0, dim_vars=1, constants=None):
     )
 
 
+def at_zero(form):
+    """Exact value at t = 0: the sum of the degree-0 coefficients."""
+    return sum(coeffs[0] for _, coeffs in form.terms)
+
+
 def assert_exact_solution(ms, forms):
-    """Each form starts at m0 and satisfies its ODE row identically."""
-    for r in range(ms.dimension):
-        assert forms[r].at_zero() == ms.m0[r], f"row {r} initial value"
-        residual = forms[r].derivative() - ClosedForm.constant(ms.vector_c[r])
-        for s, coeff in enumerate(ms.matrix_a[r]):
-            if coeff:
-                residual = residual - forms[s].scale(coeff)
-        assert residual.terms == (), f"row {r} residual {residual}"
+    """F_r(0) = m0_r, and every coefficient of t^d e^{lam t} in
+    F_r' - sum_s a_rs F_s - c_r is zero, for every row r.  Plain Fraction
+    dict arithmetic over the forms' terms and the sparse rows, so that the
+    check shares nothing with the solver."""
+    assert len(forms) == ms.dimension
+    for r, (form, m0) in enumerate(zip(forms, ms.m0)):
+        assert at_zero(form) == m0, f"row {r} initial value"
+    coeffs = [{(lam, d): c for lam, cs in form.terms for d, c in enumerate(cs)} for form in forms]
+    for r, row in enumerate(ms.rows):
+        residual = defaultdict(Fraction)
+        for (lam, d), c in coeffs[r].items():  # (c t^d e^{lam t})' = (lam c t^d + d c t^(d-1)) e^{lam t}
+            residual[lam, d] += lam * c
+            if d:
+                residual[lam, d - 1] += d * c
+        residual[F(0), 0] -= ms.vector_c[r]
+        for s, a in row:
+            for key, c in coeffs[s].items():
+                residual[key] -= a * c
+        assert not any(residual.values()), f"row {r} residual {({k: v for k, v in residual.items() if v})}"
+
+
+class TestResidualCheck:
+    """assert_exact_solution must reject forms that are wrong by a hair: a check
+    that accepted everything would pass every residual test in this file."""
+
+    EPS = F(1, 10**9)
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        ms = build_closure(load_benchmark("vehicles"), Monomial((0, 0, 2, 0)))
+        forms = solve_closed_form_vector(ms)
+        assert_exact_solution(ms, forms)
+        return ms, forms
+
+    @staticmethod
+    def planted(forms, r, term_map):
+        return forms[:r] + [ClosedForm.build(term_map, "exact-rational")] + forms[r + 1 :]
+
+    def test_every_coefficient_off_by_1e_9_is_rejected(self, solved):
+        ms, forms = solved
+        for r, form in enumerate(forms):
+            for lam, coeffs in form.terms:
+                for d in range(len(coeffs)):
+                    terms = dict(form.terms)
+                    terms[lam] = coeffs[:d] + (coeffs[d] + self.EPS,) + coeffs[d + 1 :]
+                    # t^0 moves F_r(0); a higher power leaves it and only the ODE sees it
+                    with pytest.raises(AssertionError, match=f"row {r} initial value" if d == 0 else "residual"):
+                        assert_exact_solution(ms, self.planted(forms, r, terms))
+
+    def test_every_rate_off_by_1e_9_is_rejected(self, solved):
+        ms, forms = solved
+        for r, form in enumerate(forms):
+            for lam, coeffs in form.terms:
+                terms = dict(form.terms)
+                terms[lam + self.EPS] = terms.pop(lam)
+                with pytest.raises(AssertionError, match="residual"):
+                    assert_exact_solution(ms, self.planted(forms, r, terms))
+
+    def test_every_wrong_start_is_rejected(self, solved):
+        ms, forms = solved
+        for r in range(ms.dimension):
+            m0 = ms.m0[:r] + (ms.m0[r] + self.EPS,) + ms.m0[r + 1 :]
+            with pytest.raises(AssertionError, match=f"row {r} initial value"):
+                assert_exact_solution(dataclasses.replace(ms, m0=m0), forms)
+
+
+def assert_no_rational_root(factor):
+    """A remaining factor (ascending coefficients) is monic, of degree at least
+    2, and has no rational root by sympy as an independent oracle."""
+    assert len(factor) > 2 and factor[-1] == 1
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(factor)]
+    assert sympy.Poly(coeffs, sympy.Symbol("x")).ground_roots() == {}
 
 
 def assert_matches_sympy(ms, forms):
@@ -959,11 +1027,7 @@ class TestTriangularPath:
         assert block_sizes(ms)[-1] > 1
         with pytest.raises(ClosedFormUnsupported, match="SCC block of size .* no rational root") as info:
             solve_closed_form_vector(ms)
-        # The factor left has no rational root by an independent oracle.
-        factor = info.value.remaining_factor
-        assert len(factor) > 2 and factor[-1] == 1
-        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(factor)]
-        assert sympy.Poly(coeffs, sympy.Symbol("x")).ground_roots() == {}
+        assert_no_rational_root(info.value.remaining_factor)
 
     def test_a_block_with_zero_data_solves_to_zero_without_its_spectrum(self):
         # coupled3d (0,2,1) is one 4x4 block whose characteristic polynomial
@@ -1421,37 +1485,6 @@ class TestClosedFormType:
         other = ClosedForm.build({b: [F(2)], a: [F(1)]}, "exact-rational")
         assert one.terms == other.terms == ((b, (F(2),)), (a, (F(1),)))
 
-    def test_add_merges_matching_rates(self):
-        a = ClosedForm.build({F(-1): [F(1), F(2)]}, "exact-rational")
-        b = ClosedForm.build({F(-1): [F(3)]}, "exact-rational")
-        assert (a + b).terms == ((F(-1), (F(4), F(2))),)
-
-    def test_add_rejects_mixed_kinds(self):
-        exact = ClosedForm.build({F(-1): [F(1)]}, "exact-rational")
-        approx = ClosedForm.build({-1.0: [1.0]}, "float")
-        with pytest.raises(ValueError):
-            exact + approx
-
-    def test_add_cancels_to_empty(self):
-        a = ClosedForm.build({F(-1): [F(1)]}, "exact-rational")
-        assert (a - a).terms == ()
-        assert (a - a).evaluate(3.0) == 0.0
-
-    def test_scale(self):
-        a = ClosedForm.build({F(-1): [F(1), F(2)]}, "exact-rational")
-        assert a.scale(F(1, 2)).terms == ((F(-1), (F(1, 2), F(1))),)
-
-    def test_derivative_of_polynomial_exponential(self):
-        # d/dt (3/8 + t + 3t^2/4) e^{-4t}
-        a = ClosedForm.build({F(-4): [F(3, 8), F(1), F(3, 4)]}, "exact-rational")
-        want = ClosedForm.build(
-            {F(-4): [F(-1, 2), F(-5, 2), F(-3)]}, "exact-rational"
-        )
-        assert a.derivative().terms == want.terms
-
-    def test_derivative_of_constant_is_empty(self):
-        assert ClosedForm.constant(F(5)).derivative().terms == ()
-
     def test_evaluate_horner(self):
         a = ClosedForm.build({F(-2): [F(1), F(3)]}, "exact-rational")
         t = 0.7
@@ -1460,7 +1493,7 @@ class TestClosedFormType:
 
 class TestClosedFormPrinting:
     def test_constant_only(self):
-        assert str(ClosedForm.constant(F(1, 3))) == "1/3"
+        assert str(ClosedForm.build({F(0): [F(1, 3)]}, "exact-rational")) == "1/3"
 
     def test_zero(self):
         assert str(ClosedForm((), "exact-rational")) == "0"
@@ -1516,7 +1549,7 @@ class TestFunctionalMoment:
         model = load_benchmark("vehicles")
         fm = linear_functional_moment(model, functional_terms(model, "p1 - p2 + 10"))
         cf = fm.closed_form_exact()
-        assert cf.at_zero() == 11
+        assert at_zero(cf) == 11
 
 
 class TestMarkovBound:

@@ -2,8 +2,10 @@
 the scripts in scripts/, run in-process."""
 
 import ast
+import importlib
 import runpy
 import sys
+from collections import Counter
 from pathlib import Path
 
 import sdemoments
@@ -81,6 +83,51 @@ def test_every_private_module_name_is_used_elsewhere():
         and not any(name in names for j, names in enumerate(used) if j != i)
     ]
     assert unused == []
+
+
+def _names_counted(tree: ast.AST) -> Counter:
+    """How often a tree names each identifier: loaded names, attribute names,
+    and the parts of string constants that are dotted identifiers."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def test_every_public_method_is_named_outside_its_definition():
+    """A public method of a class in src/ must be named somewhere in src/,
+    scripts/ or perfbench/ other than its own body, so that no library
+    method lives on only for the tests.  A name counts when it is read, or
+    when it is part of a dotted string such as perfbench's "Class.method",
+    which the benchmark fetches with getattr.  A method that overrides one
+    of a base class outside the package (`_ArgumentParser.error`) is exempt.
+    Names are matched, not resolved: a method that shares its name with
+    another one, as `ClosedForm.scale` did with `Polynomial.scale`, passes
+    whenever the other name is used."""
+    root = SCRIPTS.parent
+    trees = [ast.parse(p.read_text()) for d in ("src", "scripts", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    everywhere = sum(map(_names_counted, trees), Counter())
+    unnamed = []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(importlib.import_module(f"sdemoments.{path.stem}"), cls.name).__mro__[1:]
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or method.name.startswith("_"):
+                    continue
+                if any(method.name in vars(base) for base in bases if not base.__module__.startswith("sdemoments")):
+                    continue
+                if everywhere[method.name] <= _names_counted(method)[method.name]:
+                    unnamed.append(f"{cls.name}.{method.name}")
+    assert unnamed == []
 
 
 def run_script(monkeypatch, capsys, name, *argv):
