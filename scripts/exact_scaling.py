@@ -8,8 +8,11 @@ largest numerator or denominator bit length of the printed Fractions and of
 the solver's integer form of the target (one denominator over int
 numerators).  Targets are MODEL:E1,E2,...  A first argument --closure times
 the closure build, `closure --rows` and `closure --json`, a fresh process each.
+A first argument --simulate runs weak Euler paths (2048 paths, dt 1e-3, t = 1)
+and gives the target's dependency cone, the Brownian components its noise
+rows read, and path-steps per second (time it with OPENBLAS_NUM_THREADS=1).
 
-    PYTHONPATH=src python scripts/exact_scaling.py [TARGET ...]
+    PYTHONPATH=src python scripts/exact_scaling.py [--closure | --simulate] [TARGET ...]
 """
 
 import contextlib
@@ -21,6 +24,7 @@ import time
 
 DEFAULT = ["gene:0,0,0,0,3", "gene:0,0,0,0,4", "gene:0,0,0,0,5"]
 LADDER = [f"ou-env:{k},{k}" for k in (8, 16, 24, 33)]  # dim 148, 552, 1,212 and 2,260
+CONES = [f"gene:{','.join('2' if v == k else '0' for v in range(5))}" for k in range(5)]  # cones of 1-5
 
 
 def measure(target: str) -> dict:
@@ -61,14 +65,34 @@ def measure_closure(target: str, step: str) -> dict:
     return row | {f"{step}_s": round(seconds, 3), f"{step}_mb": round(rss, 1)}
 
 
+def measure_simulate(target: str) -> dict:
+    from sdemoments import Monomial, Polynomial, load_benchmark, montecarlo
+
+    name, alpha = target.split(":")
+    bench, mono = load_benchmark(name), Monomial(tuple(map(int, alpha.split(","))))
+    cone = montecarlo._cone(bench, Polynomial.monomial(mono))
+    noise = montecarlo._evaluator(*montecarlo._restrict(bench, Polynomial.monomial(mono), cone)).noise
+    cfg = montecarlo.SimConfig(dt=1e-3, paths=2048, record_times=(1.0,))
+    started = time.perf_counter()
+    montecarlo.simulate_moment(bench, mono, cfg)
+    seconds, rss = time.perf_counter() - started, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"cone": len(cone), "components": f"{len({k for _, k in noise})}/{bench.brownian_dim}",
+            "seconds": round(seconds, 3), "path_steps_per_s": round(cfg.paths * 1000 / seconds),
+            "peak_rss_mb": round(rss, 1)}
+
+
 def main(argv: list[str]) -> None:
     if argv[:1] == ["--child"]:
-        print(json.dumps(measure_closure(*argv[1:]) if argv[2:] else measure(argv[1])))
+        target, *step = argv[1:]
+        print(json.dumps(measure_simulate(target) if step == ["simulate"]
+                         else measure_closure(target, *step) if step else measure(target)))
         return
-    closure = argv[:1] == ["--closure"]
-    for i, target in enumerate(argv[closure:] or (LADDER if closure else DEFAULT)):
+    ladders = {"--closure": (LADDER, [["build"], ["rows"], ["json"]]), "--simulate": (CONES, [["simulate"]])}
+    mode = argv[0] if argv[:1] and argv[0] in ladders else None
+    targets, steps = ladders.get(mode, (DEFAULT, [[]]))
+    for i, target in enumerate(argv[mode is not None :] or targets):
         row = {"target": target}
-        for step in (["build"], ["rows"], ["json"]) if closure else [[]]:
+        for step in steps:
             child = [sys.executable, __file__, "--child", target, *step]
             row |= json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
         if not i:

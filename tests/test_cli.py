@@ -542,6 +542,37 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "positive record time" in err
 
+    def test_two_times_on_one_step_share_its_estimate(self, capsys):
+        # Both times round to step 1 of dt = 0.1.
+        times = ("--times", "0.1,0.1000000000001", "--dt", "0.1", "--paths", "16")
+        code, out, _ = run_cli(capsys, "simulate", OU_ENV, "--alpha", "1,0", *times, "--json")
+        assert code == EXIT_OK
+        first, second = json.loads(out)["estimates"]
+        assert (first["time"], second["time"]) == (0.1, 0.1000000000001)
+        assert (first["mean"], first["std_error"]) == (second["mean"], second["std_error"])
+        code, out, _ = run_cli(
+            capsys, "moment", OU_ENV, "--alpha", "1,0", *times, "--simulate", "--json"
+        )
+        assert code == EXIT_OK
+        first, second = json.loads(out)["simulation"]
+        assert (first["mc_mean"], first["mc_std_error"]) == (second["mc_mean"], second["mc_std_error"])
+
+    def test_overflowing_functional_is_a_simulation_error(self, capsys, write_model):
+        # x1 stays near 1e11, under the blow-up limit, but x1^30 overflows.
+        path = write_model(
+            "big", variables=["x1"], drift=["-x1"], diffusion=[["1"]], values=["100000000000"]
+        )
+        code, out, err = run_cli(
+            capsys, "simulate", path, "--alpha", "30", "--times", "0.01",
+            "--dt", "0.001", "--paths", "16", "--json",
+        )
+        assert code == EXIT_MODEL_ERROR
+        assert out == ""
+        assert err == (
+            "simulation error: the functional's sum over paths is non-finite at t=0.01 "
+            "(path block starting at 0)\n"
+        )
+
 
 # ---------------------------------------------------------------------------
 # table1

@@ -165,3 +165,11 @@ def test_exact_scaling_table(monkeypatch, capsys):
     for row in rows:
         rates, seconds, rss, fraction_bits, int_bits = map(float, row[3:])
         assert rates >= 1 and seconds >= 0 and rss > 0 and min(fraction_bits, int_bits) >= 1
+
+
+def test_exact_scaling_simulate_rung(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "exact_scaling.py", "--simulate", "gene:0,0,2,0,0")
+    header, _, row = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert header == ["target", "cone", "components", "seconds", "path_steps_per_s", "peak_rss_mb"]
+    assert row[:3] == ["gene:0,0,2,0,0", "3", "3/5"]
+    assert float(row[4]) > 0 and float(row[5]) > 0
