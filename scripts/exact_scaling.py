@@ -11,8 +11,11 @@ the closure build, `closure --rows` and `closure --json`, a fresh process each.
 A first argument --simulate runs weak Euler paths (2048 paths, dt 1e-3, t = 1)
 and gives the target's dependency cone, the Brownian components its noise
 rows read, and path-steps per second (time it with OPENBLAS_NUM_THREADS=1).
+A first argument --numeric times eval_numeric at the 8 times of the benchmark's
+`numeric` workload and gives the moments it steps (the others are structurally
+zero) and the route it takes, dense Pade or sparse Taylor.
 
-    PYTHONPATH=src python scripts/exact_scaling.py [--closure | --simulate] [TARGET ...]
+    PYTHONPATH=src python scripts/exact_scaling.py [--closure | --simulate | --numeric] [TARGET ...]
 """
 
 import contextlib
@@ -24,6 +27,7 @@ import time
 
 DEFAULT = ["gene:0,0,0,0,3", "gene:0,0,0,0,4", "gene:0,0,0,0,5"]
 LADDER = [f"ou-env:{k},{k}" for k in (8, 16, 24, 33)]  # dim 148, 552, 1,212 and 2,260
+NUMERIC = [*LADDER, "gene:0,0,0,4,1"]
 CONES = [f"gene:{','.join('2' if v == k else '0' for v in range(5))}" for k in range(5)]  # cones of 1-5
 
 
@@ -81,13 +85,31 @@ def measure_simulate(target: str) -> dict:
             "peak_rss_mb": round(rss, 1)}
 
 
+def measure_numeric(target: str) -> dict:
+    import scipy.sparse  # noqa: F401  imported, with numpy, before the clock starts
+
+    from sdemoments import Monomial, build_closure, load_benchmark, odesolve
+
+    name, alpha = target.split(":")
+    ms = build_closure(load_benchmark(name), Monomial(tuple(map(int, alpha.split(",")))))
+    cheaper, routes = odesolve._sparse_is_cheaper, []
+    odesolve._sparse_is_cheaper = lambda *args: routes.append(cheaper(*args)) or routes[-1]
+    started = time.perf_counter()
+    odesolve.eval_numeric(ms, [0.5 * i for i in range(8)])
+    seconds, rss = time.perf_counter() - started, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"dim": ms.dimension, "live": ms.dimension - len(ms.zeros), "route": "sparse" if routes[0] else "dense",
+            "seconds": round(seconds, 3), "peak_rss_mb": round(rss, 1)}
+
+
 def main(argv: list[str]) -> None:
     if argv[:1] == ["--child"]:
         target, *step = argv[1:]
-        print(json.dumps(measure_simulate(target) if step == ["simulate"]
+        measures = {"simulate": measure_simulate, "numeric": measure_numeric}
+        print(json.dumps(measures[step[0]](target) if step and step[0] in measures
                          else measure_closure(target, *step) if step else measure(target)))
         return
-    ladders = {"--closure": (LADDER, [["build"], ["rows"], ["json"]]), "--simulate": (CONES, [["simulate"]])}
+    ladders = {"--closure": (LADDER, [["build"], ["rows"], ["json"]]), "--simulate": (CONES, [["simulate"]]),
+               "--numeric": (NUMERIC, [["numeric"]])}
     mode = argv[0] if argv[:1] and argv[0] in ladders else None
     targets, steps = ladders.get(mode, (DEFAULT, [[]]))
     for i, target in enumerate(argv[mode is not None :] or targets):

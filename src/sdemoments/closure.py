@@ -93,6 +93,25 @@ class MomentSystem:
         return tuple(_tarjan_sccs(self.dimension, lambda i: [j for j, _ in self.rows[i] if j != i]))
 
     @cached_property
+    def zeros(self) -> frozenset[int]:
+        """The structurally zero moments: blocks whose members start at 0, have
+        constant 0 and read, outside the block, only zero moments (plain loops:
+        a generator per block would cost more than the rest)."""
+        m0, c, rows, zero = self.m0, self.vector_c, self.rows, set()
+        for block in self.blocks:
+            for i in block:
+                if m0[i] or c[i]:
+                    break
+            else:
+                zero.update(block)
+                for i in block:
+                    for j, _ in rows[i]:
+                        if j not in zero:
+                            zero.difference_update(block)
+                            break
+        return frozenset(zero)
+
+    @cached_property
     def matrix_a(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense n x n view of A, derived from `rows` on first use."""
         return tuple(map(tuple, self._dense(Fraction(0), lambda v: v)))

@@ -7,16 +7,19 @@ The inhomogeneous system is embedded into the augmented homogeneous system
 so one matrix exponential covers both parts.  Three evaluation routes:
 
   * eval_numeric      — double precision at arbitrary sorted times; always
-                        available.  The state is carried forward through
+                        available.  Structurally zero moments (start and
+                        constant 0, reading only zero moments) come out
+                        +0.0; the state of the rest is carried through
                         each run of equal gaps between the distinct sorted
                         times by the route of less estimated work: dense
-                        expm (Pade 13, scaled to theta13) once per run, on
-                        the matrix in SCC order, with triangular products
-                        when it is triangular, and a run whose gap is 2^j
-                        times the one before squares that run's step j
-                        times, sharing its Pade evaluation; or a truncated
-                        Taylor series per gap on the CSR matrix (Al-Mohy &
-                        Higham 2011).
+                        expm (Pade 13, scaled to theta13, in a fixed set of
+                        arrays) once per run, on the matrix in SCC order,
+                        with triangular products when it is triangular, and
+                        a run whose gap is 2^j times the one before squares
+                        that run's step j times, sharing its Pade step; or
+                        a truncated Taylor series per gap on the CSR matrix,
+                        steps sized by max(d_p, d_(p+1)), d_p >=
+                        ||A^p||_1^(1/p) (Al-Mohy & Higham 2011).
   * solve_closed_form — exact solution, terms p(t) * exp(lambda t), at any
                         dimension, built fraction-free (one int denominator
                         per moment over int numerators, so a weighted sum
@@ -115,14 +118,15 @@ def _squarings(norm: float) -> int:
     return 0 if norm <= _THETA13 else math.ceil(math.log2(norm / _THETA13))
 
 
-def _tri_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for upper triangular x and y in about a third of the flops, split at n/2."""
+def _tri_mul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ y for upper triangular x and y in about a third of the flops, split at n/2, into out if given."""
     n, m = len(x), len(x) // 2
     if n <= _LEAF:
-        return x @ y
-    out = np.zeros_like(x)
-    out[:m, :m] = _tri_mul(x[:m, :m], y[:m, :m])
-    out[m:, m:] = _tri_mul(x[m:, m:], y[m:, m:])
+        return np.matmul(x, y, out=out)
+    out = np.empty_like(x) if out is None else out
+    out[m:, :m] = 0.0
+    _tri_mul(x[:m, :m], y[:m, :m], out[:m, :m])
+    _tri_mul(x[m:, m:], y[m:, m:], out[m:, m:])
     out[:m, m:] = x[:m, :m] @ y[:m, m:] + x[:m, m:] @ y[m:, m:]
     return out
 
@@ -143,38 +147,53 @@ def expm(matrix: np.ndarray) -> np.ndarray:
     """e^M in double precision; scaled so the Pade argument has 1-norm <= theta13.
     An upper triangular M takes triangular products and inverse, and the exact
     diagonal exp(m_ii 2^-j) is written back after the Pade step and each
-    squaring (Al-Mohy & Higham 2009, Code Fragment 2.1)."""
+    squaring (Al-Mohy & Higham 2009, Code Fragment 2.1).  The Pade sums and
+    products fill three work arrays in place, bit for bit as b13 a6 + ... + b1 I."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm needs a square matrix")
     norm = np.linalg.norm(a, 1)
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise OdeSolveError("matrix exponential input is not finite")
     squarings = _squarings(norm)
-    a = a / (2.0**squarings)
-    upper = not np.tril(a, -1).any()
+    a /= 2.0**squarings
+    upper = not a[np.tri(len(a), k=-1, dtype=bool)].any()  # np.tril costs more at small sizes
     mul = _tri_mul if upper and len(a) > _LEAF else np.matmul
 
+    def series(out, spare, terms, identity=None):  # out + c x + ... (+ identity I), in place
+        for c, x in terms:
+            out += np.multiply(x, c, out=spare)
+        if identity is not None:
+            out += 0.0  # as x + c I, where the zeros off the diagonal turn -0.0 into +0.0
+            out.reshape(-1)[:: len(out) + 1] += identity
+
     b = _PADE13
-    eye = np.eye(a.shape[0])
     a2 = mul(a, a)
     a4 = mul(a2, a2)
     a6 = mul(a2, a4)
-    u = mul(a, mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    u, v, w = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    series(np.multiply(a6, b[13], out=u), w, [(b[11], a4), (b[9], a2)])
+    series(mul(a6, u, out=v), w, [(b[7], a6), (b[5], a4), (b[3], a2)], b[1])
+    mul(a, v, out=u)
+    series(np.multiply(a6, b[12], out=v), w, [(b[10], a4), (b[8], a2)])
+    series(mul(a6, v, out=w), v, [(b[6], a6), (b[4], a4), (b[2], a2)], b[0])
+    del a2, a4, a6
     # v - u is well conditioned at 1-norm <= theta13 (Higham 2005): invert it outright.
-    r = mul(_tri_inv(v - u), v + u) if mul is _tri_mul else np.linalg.solve(v - u, v + u)
+    np.subtract(w, u, out=v)
+    w += u
+    r = mul(_tri_inv(v), w, out=u) if mul is _tri_mul else np.linalg.solve(v, w)
     return _squared(r, squarings, np.diag(a) if upper else None)
 
 
 def _squared(r: np.ndarray, squarings: int, diagonal: np.ndarray | None) -> np.ndarray:
     """r^(2^squarings) for r = e^a.  Given the diagonal of an upper triangular a,
     the exact diagonal exp(a_ii 2^k) of e^(a 2^k) is written back before the
-    first squaring and after each, with triangular products above _LEAF."""
+    first squaring and after each, with triangular products above _LEAF, into r and one more array."""
     mul = _tri_mul if diagonal is not None and len(r) > _LEAF else np.matmul
     diagonals = None if diagonal is None else np.exp(np.outer(2.0 ** np.arange(squarings + 1), diagonal))
+    spare = None
     for k in range(squarings + 1):
-        r = mul(r, r) if k else r
+        r, spare = (mul(r, r, out=spare), r) if k else (r, spare)
         if diagonals is not None:
             r.flat[:: len(r) + 1] = diagonals[k]
     return r
@@ -204,7 +223,8 @@ def _augmented(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 # Al-Mohy & Higham 2011, Table 3.1: theta_m bounds the ||t A||_1 at which m Taylor terms of
-# e^{tA} b meet 2^-53.  A gap takes s steps of degree m, least m * s, s = ceil(||t A||_1 / theta_m).
+# e^{tA} b meet 2^-53.  A gap takes s steps of degree m, least m * s, s = ceil(t alpha / theta_m), alpha
+# the least of ||A||_1 and each max(d_p, d_(p+1)), p (p - 1) <= m + 1, d_p >= ||A^p||_1^(1/p) (section 3).
 _THETA = dict(zip([*range(1, 31), 35, 40, 45, 50, 55], [
     2.29e-16, 2.58e-8, 1.39e-5, 3.4e-4, 2.4e-3, 9.07e-3, 2.38e-2, 5.0e-2, 8.96e-2, 0.144, 0.214, 0.3, 0.4,
     0.514, 0.641, 0.781, 0.931, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31,
@@ -214,14 +234,17 @@ _THETA = dict(zip([*range(1, 31), 35, 40, 45, 50, 55], [
 def _taylor_step(aug, state: np.ndarray, gap: float, mu: float, m: int, s: int) -> np.ndarray:
     """e^{gap (aug + mu I)} state by Algorithm 3.2 of Al-Mohy & Higham 2011:
     s steps of the degree-m Taylor series of e^{gap aug / s}, each cut off
-    once two successive terms fall below 2^-53 of the sum, times e^{mu gap / s}."""
+    once two successive terms fall below 2^-53 of the sum, times e^{mu gap / s}.
+    max|sum| is taken only when its bound, sound under monotone rounding, lets the cut-off pass."""
     for _ in range(s):
         term, c1 = state, np.abs(state).max()
+        bound = c1  # >= max|state|
         for j in range(1, m + 1):
             term = aug @ term * (gap / (s * j))
             c2 = np.abs(term).max()
             state = state + term
-            if c1 + c2 <= 2.0**-53 * np.abs(state).max():
+            bound += c2
+            if c1 + c2 <= 2.0**-53 * bound and c1 + c2 <= 2.0**-53 * np.abs(state).max():
                 break
             c1 = c2
         state = np.exp(mu * gap / s) * state
@@ -254,26 +277,46 @@ def _sparse_is_cheaper(size: int, norm: float, runs: Sequence[tuple[float, int]]
     return sum((norm * gap + _SPARSE_GAP) * k for gap, k in runs) * _SPARSE_UNIT < sum(units) * size**3
 
 
+def _start(ms: MomentSystem) -> np.ndarray:
+    """[m0; 1] in floats, or OdeSolveError naming a start moment beyond the float range."""
+    try:
+        return np.array([*map(float, ms.m0), 1.0])
+    except OverflowError:
+        index = next(m for m, v in zip(ms.indices, ms.m0) if abs(v) > np.finfo(float).max)
+        raise OdeSolveError(f"the start moment {index} is beyond the float range") from None
+
+
 def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     """m(t) for each t, shape (len(times), dimension); row components follow
-    ms.indices.  The augmented state is carried from t = 0 through the
-    distinct sorted times, one maximal run of bit-equal gaps at a time, so a
-    t = 0 row is m0 exactly and a repeated time repeats its row.  One route
-    per call, by estimated work (_sparse_is_cheaper): one expm(aug * gap) per
-    run on aug in SCC order, then a matrix-vector step per gap; or a Taylor
-    step per gap on aug - mu I, mu = trace / size, in CSR form (only then is
-    scipy.sparse imported).  A dense run whose gap is 2^j times the last one,
-    where expm(aug * gap) would square at least j times, squares the last
-    step j times instead, bit for bit the same (_doublings: one Pade step
-    serves 0, 0.25, 0.5, 1, 2, 4 once ||aug||_1 > 2 theta13).  Raises
-    OdeSolveError, naming the first non-finite time, when the state overflows."""
+    ms.indices, and the structurally zero ones (ms.zeros) are +0.0.  The
+    augmented state of the others is carried from t = 0 through the distinct
+    sorted times, one maximal run of bit-equal gaps at a time, so a t = 0 row
+    is m0 exactly and a repeated time repeats its row.  One route per call,
+    by estimated work (_sparse_is_cheaper): one expm(aug * gap) per run on
+    aug in SCC order, then a matrix-vector step per gap; or a Taylor step per
+    gap on aug - mu I, mu = trace / size, in CSR form (only then is
+    scipy.sparse imported), sized as at _THETA.  A dense run whose gap is 2^j
+    times the last one, where expm(aug * gap) would square at least j times,
+    squares the last step j times instead, bit for bit the same (_doublings:
+    one Pade step serves 0, 0.25, 0.5, 1, 2, 4 once ||aug||_1 > 2 theta13).
+    Raises OdeSolveError, naming the first non-finite time, when the state
+    overflows."""
     times = list(times)
     if not all(0 <= t < math.inf for t in times):  # NaN fails too
         raise ValueError("times must be finite and non-negative")
     if sorted(times) != times:
         raise ValueError("times must be sorted ascending")
-    n = ms.dimension
+    if len(ms.zeros) == ms.dimension:
+        return np.zeros((len(times), ms.dimension))
+    start = _start(ms)
     data, rows, cols, order = _augmented(ms)
+    if ms.zeros:  # keep the other moments, in the same order; a zero row reads only zero columns
+        live = np.ones(len(order), bool)
+        live[list(ms.zeros)] = False
+        live = live[order]
+        kept, position = live[cols], live.cumsum() - 1
+        data, rows, cols, order = data[kept], position[rows[kept]], position[cols[kept]], order[live]
+    n = len(order) - 1  # the moments left
     norm = np.bincount(cols, np.abs(data), n + 1).max()  # ||aug||_1
     distinct = sorted({0.0, *times})
     runs = [(gap, len(list(run))) for gap, run in groupby(np.diff(distinct))]
@@ -285,18 +328,21 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
         eye = np.arange(n + 1)  # the shift, summed into the diagonal
         coo = (np.r_[data, np.full(n + 1, -mu)], (np.r_[rows, eye], np.r_[cols, eye]))
         aug = csr_array(coo, shape=(n + 1, n + 1))
-        shifted = np.bincount(aug.indices, np.abs(aug.data), n + 1).max()  # ||aug - mu I||_1
+        sums, absolute = np.bincount(aug.indices, np.abs(aug.data), n + 1), abs(aug).T  # 1^T |aug - mu I|
+        # d_p >= ||(aug - mu I)^p||_1^(1/p) from 1^T |aug - mu I|^p, p = 1..9
+        d = [sums.max()] + [(sums := absolute @ sums).max() ** (1 / p) for p in range(2, 10)]
+        alpha = {m: min(d[0], *(max(d[p - 1 : p + 1]) for p in range(2, 9) if p * (p - 1) <= m + 1)) for m in _THETA}
     else:
         aug = np.zeros((n + 1, n + 1))
         aug[rows, cols] = data
     out = np.ones((len(distinct), n + 1))  # the state at each distinct time, in `order`
-    out[0] = np.array([*map(float, ms.m0), 1.0])[order]
+    out[0] = start[order]
     done = 1
     # Overflow shows up as a non-finite state, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for earlier, (gap, count) in zip([0.0, *(gap for gap, _ in runs)], runs):
             if sparse:
-                degrees = ((m, max(1, math.ceil(shifted * gap / theta))) for m, theta in _THETA.items())
+                degrees = ((m, max(1, math.ceil(alpha[m] * gap / theta))) for m, theta in _THETA.items())
                 m, s = min(degrees, key=lambda p: p[0] * p[1])
             elif j := _doublings(earlier, gap, norm):
                 step = _squared(step, j, None if data[rows > cols].any() else np.diag(aug) * earlier)
@@ -310,7 +356,9 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     if not finite.all():
         t = distinct[finite.argmin()]
         raise OdeSolveError(f"moment evaluation overflowed at t={t} (matrix norm {norm:.3g})")
-    return out[np.searchsorted(distinct, times)][:, np.argsort(order)[:n]]
+    values = np.zeros((len(times), ms.dimension))
+    values[:, order[:n]] = out[np.searchsorted(distinct, times), :n]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +481,7 @@ class ClosedForm:
                 trimmed.pop()
             if trimmed:
                 cleaned.append((lam, tuple(trimmed)))
-
-        def sort_key(entry):
-            lam = entry[0]
-            if isinstance(lam, complex):
-                return (-lam.real, -lam.imag)
-            return (-lam, 0)
-
-        cleaned.sort(key=sort_key)
+        cleaned.sort(key=lambda entry: (-entry[0].real, -entry[0].imag))
         return ClosedForm(terms=tuple(cleaned), scalar_kind=scalar_kind)
 
     def evaluate(self, t: float) -> float:
@@ -479,22 +520,14 @@ class ClosedForm:
             pieces.append((negative, body))
         if not pieces:
             return "0", True
-        rendered = ""
-        for i, (negative, body) in enumerate(pieces):
-            if i == 0:
-                rendered = f"-{body}" if negative else body
-            else:
-                rendered += f" - {body}" if negative else f" + {body}"
-        simple = len(pieces) == 1 and not pieces[0][0]
-        return rendered, simple
+        rendered = "".join(f" - {body}" if negative else f" + {body}" for negative, body in pieces)
+        return ("-" if pieces[0][0] else "") + rendered[3:], len(pieces) == 1 and not pieces[0][0]
 
     def _format_exponent(self, lam: Scalar) -> str:
         if lam == 0:
             return ""
-        if not isinstance(lam, complex) and lam == 1:
-            return "exp(t)"
-        if not isinstance(lam, complex) and lam == -1:
-            return "exp(-t)"
+        if not isinstance(lam, complex) and lam in (1, -1):
+            return "exp(t)" if lam == 1 else "exp(-t)"
         return f"exp({self._format_scalar(lam)}*t)"
 
     def __str__(self) -> str:
@@ -508,10 +541,8 @@ class ClosedForm:
                 chunks.append(poly if simple else f"({poly})")
             elif poly == "1":
                 chunks.append(exp)
-            elif simple:
-                chunks.append(f"{poly}*{exp}")
             else:
-                chunks.append(f"({poly})*{exp}")
+                chunks.append(f"{poly if simple else f'({poly})'}*{exp}")
         return " + ".join(chunks)
 
 
@@ -685,7 +716,7 @@ def _solve_forms(ms: MomentSystem) -> list[Form]:
     component of A's off-diagonal pattern after every component it reaches:
     their solved forms, with c, are the block's forcing."""
     forms: list[Form] = [(1, {})] * ms.dimension
-    for block in ms.blocks:
+    for block in (b for b in ms.blocks if b[0] not in ms.zeros):  # the others' forms are zero
         local = {i: p for p, i in enumerate(block)}
         a = [[_ZERO] * len(block) for _ in block]
         forcings: list[Form] = []
@@ -708,18 +739,11 @@ def solve_closed_form_vector(ms: MomentSystem) -> list[ClosedForm]:
 
 
 def solve_closed_form(ms: MomentSystem, component: int = 0) -> ClosedForm:
-    """Exact closed form of one moment component (default: the target).
-
-    The indices are solved one strongly connected component of A's
-    off-diagonal pattern at a time, at any dimension: a 1x1 block by exact
-    variation of constants, a larger block by removing its rational
-    eigenvalues one at a time, each step a kernel vector, a rank-one update
-    of the block and one scalar solve.  The eigenvalues are r / L for the
-    integer roots r of the characteristic polynomial of L times the block,
-    L its common denominator; no denominator is guessed.  Raises
+    """Exact closed form of one moment component (default: the target), by
+    _solve_forms, which the module docstring describes.  Raises
     ClosedFormUnsupported, carrying the remaining characteristic factor,
-    when a block's spectrum is not rational; the float-spectrum path is the
-    fallback."""
+    when a block's spectrum is not rational (see _rational_spectrum); the
+    float-spectrum path is the fallback."""
     if not 0 <= component < ms.dimension:
         raise IndexError(f"component {component} out of range")
     return _closed_form(*_solve_forms(ms)[component])
@@ -749,8 +773,7 @@ def _float_form(ms: MomentSystem, weights: np.ndarray) -> ClosedForm:
     aug[order[rows], order[cols]] = data  # in index order
     values, vectors = np.linalg.eig(aug)
     order = np.lexsort((values.imag, values.real))[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = values[order], vectors[:, order]
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             if abs(values[i] - values[j]) < _EIGEN_GAP:
@@ -767,7 +790,7 @@ def _float_form(ms: MomentSystem, weights: np.ndarray) -> ClosedForm:
             f"eigenvector basis is ill-conditioned (cond ~ {condition:.3g}); "
             "the numeric spectrum may be defective"
         )
-    v0 = np.array([*map(float, ms.m0), 1.0], dtype=complex)
+    v0 = _start(ms).astype(complex)
     coeffs = (weights @ vectors) * np.linalg.solve(vectors, v0)
     keep = np.abs(coeffs) > _COEFF_PRUNE * np.abs(coeffs).max()
     pairs = zip(values[keep].tolist(), coeffs[keep].tolist())
@@ -854,9 +877,7 @@ def linear_functional_moment(
     if isinstance(result, DivergenceReport):
         return result
     weight_of = dict(targets)
-    weights = tuple(
-        weight_of.get(mono, Fraction(0)) for mono in result.indices
-    )
+    weights = tuple(weight_of.get(mono, Fraction(0)) for mono in result.indices)
     return FunctionalMoment(system=result, weights=weights, offset=offset)
 
 

@@ -998,6 +998,21 @@ class TestNumericFailure:
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("verify", ["--upper", "1"]), ("moment", [])],
+        ids=["verify", "moment"],
+    )
+    def test_a_start_moment_beyond_the_float_range_exits_three(self, capsys, write_model, command, flags):
+        # E[x1^30] starts at (1e11)^30 = 1e330, which no float holds.
+        path = write_model(
+            "big", variables=["x1"], drift=["-x1"], diffusion=[["1"]], values=["100000000000"]
+        )
+        code, out, err = run_cli(capsys, command, path, "--alpha", "30", "--times", "0.01", *flags)
+        assert code == EXIT_MODEL_ERROR
+        assert out == ""
+        assert err == "numeric evaluation failed: the start moment (30) is beyond the float range\n"
+
 
 class TestFreshProcessNumpy:
     """numpy runs on first numeric use: importing the package and running

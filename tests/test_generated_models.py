@@ -13,16 +13,20 @@ and `check` must name it.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_odesolve import assert_exact_solution, assert_no_rational_root
+from test_odesolve import assert_exact_solution, assert_no_rational_root, stepped_one_gap_at_a_time
 
+import sdemoments.odesolve as odesolve
 from sdemoments.cli import EXIT_CHECK_FAILED, main
 from sdemoments.closure import MomentSystem, build_closure, check_closedness
 from sdemoments.model import load_model
@@ -32,6 +36,7 @@ from sdemoments.prosolve import DependencyEdge, certify_closure, check_prosolvab
 
 TIMES = [0.5, 1.0, 2.0]
 COEFFS = st.sampled_from([Fraction(c) for c in (-2, -1, "-1/2", "1/3", 1, "3/2")])
+STARTS = st.one_of(st.just(Fraction(0)), COEFFS)  # a zero start makes structurally zero moments
 
 
 def _unit(n: int, v: int) -> tuple[int, ...]:
@@ -93,7 +98,7 @@ def prosolvable_models(draw):
         "brownian_dim": noises,
         "drift": [text(t) for t in drift],
         "diffusion": [[text(s) for s in row] for row in diffusion],
-        "initial": {"kind": "point", "values": [str(draw(COEFFS)) for _ in range(n)]},
+        "initial": {"kind": "point", "values": [str(draw(STARTS)) for _ in range(n)]},
     }
     return doc, blocks
 
@@ -133,6 +138,33 @@ def test_generated_models_close_certify_and_rederive(data):
     exact = [forms[0].evaluate(t) for t in TIMES]
     scale = max(map(abs, exact))
     assert all(abs(x - y) <= 1e-10 * scale for x, y in zip(exact, numeric)), doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_structurally_zero_moments_on_both_routes(data):
+    # The reference is the full system (the rule switched off) stepped by one
+    # expm per gap.  Each moment of ms.zeros is exactly 0 there and exactly
+    # +0.0 on either route.  Every other moment is within 1e-10 of its own
+    # largest reference value: leaving the zero moments out changes the
+    # rounding, by up to 6e-12 of that on an ill-conditioned draw.  On the
+    # Taylor route the bound adds the route's own error on the full system,
+    # which reaches 4e-5 on about 1 in 300 drawn models, with or without the
+    # rule.
+    doc, blocks = data.draw(prosolvable_models())
+    model = load_model(json.dumps(doc))
+    ms = build_closure(model, data.draw(targets(model.dimension, blocks[-1])))
+    full = dataclasses.replace(ms)
+    full.__dict__["zeros"] = frozenset()  # the cached property, seeded empty
+    want, _ = stepped_one_gap_at_a_time(full, TIMES)
+    zeros, scale = sorted(ms.zeros), np.abs(want).max(axis=0)
+    assert not want[:, zeros].any(), doc
+    for sparse in (False, True):
+        with mock.patch.object(odesolve, "_sparse_is_cheaper", lambda *args: sparse):
+            values, own = eval_numeric(ms, TIMES), eval_numeric(full, TIMES) if sparse else want
+        assert (values[:, zeros] == 0).all() and not np.signbit(values[:, zeros]).any(), (doc, sparse)
+        error, slack = np.abs(values - want).max(axis=0), np.abs(own - want).max(axis=0)
+        assert (error <= 1e-10 * scale + slack).all(), (doc, sparse)
 
 
 @settings(max_examples=40, deadline=None)

@@ -153,6 +153,63 @@ class TestExpm:
         assert odesolve._squarings(5.38) == 1
         assert odesolve._squarings(541.0) == 7
 
+    @pytest.mark.parametrize(
+        "model, alpha, upper",
+        [
+            ("ou-env", (31, 7), True),  # triangular products above the leaf
+            ("vehicles", (0, 0, 9, 0), True),
+            ("consensus", (0, 40), False),  # cyclic, dim 41: dense products and a solve
+        ],
+    )
+    def test_buffered_pade_is_bitwise_the_expression_form(self, model, alpha, upper):
+        # Both sides run on the same BLAS, so no stored digest is needed.
+        data, rows, cols, order = odesolve._augmented(build_closure(load_benchmark(model), Monomial(alpha)))
+        aug = np.zeros((len(order),) * 2)
+        aug[rows, cols] = data
+        assert (not np.tril(aug, -1).any()) == upper
+        matrix = aug * 0.5
+        kept = matrix.copy()
+        got, want = expm(matrix), expression_form_expm(matrix)
+        assert np.array_equal(matrix, kept)  # the input is never written
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# The expression form of expm, _squared and _tri_mul before their products
+# went into preallocated arrays, kept as the reference for the bits.
+def expression_form_tri_mul(x, y):
+    n, m = len(x), len(x) // 2
+    if n <= odesolve._LEAF:
+        return x @ y
+    out = np.zeros_like(x)
+    out[:m, :m] = expression_form_tri_mul(x[:m, :m], y[:m, :m])
+    out[m:, m:] = expression_form_tri_mul(x[m:, m:], y[m:, m:])
+    out[:m, m:] = x[:m, :m] @ y[:m, m:] + x[:m, m:] @ y[m:, m:]
+    return out
+
+
+def expression_form_expm(matrix):
+    a = np.array(matrix, dtype=float)
+    squarings = odesolve._squarings(np.linalg.norm(a, 1))
+    a = a / (2.0**squarings)
+    upper = not np.tril(a, -1).any()
+    mul = expression_form_tri_mul if upper and len(a) > odesolve._LEAF else np.matmul
+    b = odesolve._PADE13
+    eye = np.eye(a.shape[0])
+    a2 = mul(a, a)
+    a4 = mul(a2, a2)
+    a6 = mul(a2, a4)
+    u = mul(a, mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = mul(odesolve._tri_inv(v - u), v + u) if mul is expression_form_tri_mul else np.linalg.solve(v - u, v + u)
+    diagonal = np.diag(a) if upper else None
+    mul = expression_form_tri_mul if diagonal is not None and len(r) > odesolve._LEAF else np.matmul
+    diagonals = None if diagonal is None else np.exp(np.outer(2.0 ** np.arange(squarings + 1), diagonal))
+    for k in range(squarings + 1):
+        r = mul(r, r) if k else r
+        if diagonals is not None:
+            r.flat[:: len(r) + 1] = diagonals[k]
+    return r
+
 
 # ---------------------------------------------------------------------------
 # Characteristic polynomial and rational root extraction
@@ -328,17 +385,22 @@ def expm_spy(monkeypatch):
 
 
 def stepped_one_gap_at_a_time(ms, times):
-    """eval_numeric's dense route with its own expm per gap, in SCC order;
-    the constant, last in that order, stays 1 as there."""
+    """eval_numeric's dense route with its own expm per gap, in SCC order,
+    on the moments outside ms.zeros, which stay +0.0 as there; the constant,
+    last in that order, stays 1 as there."""
     data, rows, cols, order = odesolve._augmented(ms)
-    aug = np.zeros((ms.dimension + 1,) * 2)
-    aug[rows, cols] = data
+    full = np.zeros((ms.dimension + 1,) * 2)
+    full[rows, cols] = data
+    live = [p for p, i in enumerate(order) if i not in ms.zeros]
+    aug, order = full[np.ix_(live, live)], order[live]
     state = np.array([float(v) for v in ms.m0] + [1.0])[order]
     want = []
     for s, t in zip([0.0] + times, times):
         if t != s:
             state[:-1] = (expm(aug * (t - s)) @ state)[:-1]
-        want.append(state[np.argsort(order)][: ms.dimension])
+        row = np.zeros(ms.dimension)
+        row[order[:-1]] = state[:-1]
+        want.append(row)
     return np.array(want), not np.tril(aug, -1).any()
 
 
@@ -481,6 +543,72 @@ class TestSparseRoute:
         exact = exact_trajectory(ms, NUMERIC_TIMES)
         # A moment that is identically zero (scale 0) must come out zero.
         assert (np.abs(values - exact).max(axis=0) <= 1e-14 * np.abs(exact).max(axis=0)).all()
+
+    @pytest.mark.parametrize("alpha, dim", [((31, 7), 295), ((38, 6), 295), ((24, 12), 468)])
+    def test_sparse_route_error_on_the_stiff_closures(self, monkeypatch, alpha, dim):
+        # Forced onto the Taylor route, with steps sized by alpha_p, these
+        # closures are 7.9e-15, 1.8e-14 and 1.1e-14 off the exact form,
+        # relative to each moment's largest value (7.2e-15, 3.7e-14 and
+        # 1.9e-14 with steps sized by ||aug - mu I||_1).  A route rule that
+        # sends them here gives up the dense route's 1e-14 for this.
+        ms = build_closure(load_benchmark("ou-env"), Monomial(alpha))
+        assert ms.dimension == dim
+        route_spy(monkeypatch, force=True)
+        values = eval_numeric(ms, NUMERIC_TIMES)
+        exact = exact_trajectory(ms, NUMERIC_TIMES)
+        assert (np.abs(values - exact).max(axis=0) <= 2.5e-14 * np.abs(exact).max(axis=0)).all()
+
+    @pytest.mark.parametrize("force", [False, True], ids=["dense", "sparse"])
+    def test_structurally_zero_moments_are_left_out(self, monkeypatch, force):
+        # x1(0) = 0 and x1 has no constant drift: the moments odd in x1 stay
+        # zero, and neither route steps them.
+        ms = build_closure(load_benchmark("ou-env"), Monomial((31, 7)))
+        zeros = sorted(ms.zeros)
+        assert len(zeros) == 23 and all(ms.indices[i].exponents[0] % 2 for i in zeros)
+        assert all(not odesolve._solve_forms(ms)[i][1] for i in zeros)
+        sizes, steps = expm_spy(monkeypatch), []
+        monkeypatch.setattr(odesolve, "_taylor_step", lambda *args: steps.append(len(args[1])) or TAYLOR_STEP(*args))
+        route_spy(monkeypatch, force=force)
+        values = eval_numeric(ms, NUMERIC_TIMES)
+        assert set(sizes + steps) == {ms.dimension + 1 - len(zeros)}
+        assert (values[:, zeros] == 0).all() and not np.signbit(values[:, zeros]).any()
+
+    def test_every_moment_zero_takes_no_step(self, monkeypatch):
+        ms = build_closure(load_benchmark("ou-env"), Monomial((19, 0)))
+        assert len(ms.zeros) == ms.dimension == 10
+        sizes = expm_spy(monkeypatch)
+        values = eval_numeric(ms, NUMERIC_TIMES)
+        assert sizes == [] and values.shape == (8, 10) and not values.any()
+
+    @pytest.mark.parametrize("poison", [None, math.nan, math.inf, -math.inf, 1e300])
+    def test_the_cut_off_bound_keeps_every_break(self, poison):
+        # The loop that takes max|state| after every term, NaN and inf included.
+        def plain(aug, state, gap, mu, m, s):
+            for _ in range(s):
+                term, c1 = state, np.abs(state).max()
+                for j in range(1, m + 1):
+                    term = aug @ term * (gap / (s * j))
+                    c2 = np.abs(term).max()
+                    state = state + term
+                    if c1 + c2 <= 2.0**-53 * np.abs(state).max():
+                        break
+                    c1 = c2
+                state = np.exp(mu * gap / s) * state
+            return state
+
+        from scipy.sparse import csr_array
+
+        ms = build_closure(load_benchmark("vehicles"), Monomial((3, 1, 1, 5)))
+        data, rows, cols, order = odesolve._augmented(ms)
+        aug = csr_array((data, (rows, cols)), shape=(len(order),) * 2)
+        state = np.array([float(v) for v in ms.m0] + [1.0])[order]
+        if poison is not None:
+            state[len(state) // 2] = poison
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gap, mu, m, s in [(0.5, -0.3, 40, 3), (2.0, 0.0, 55, 10), (1e-3, -1.0, 10, 1)]:
+                want, got = plain(aug, state, gap, mu, m, s), TAYLOR_STEP(aug, state, gap, mu, m, s)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_only_scipy_sparse_is_ever_imported(self):
         # In a fresh process: neither the import nor a small closed-form

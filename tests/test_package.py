@@ -173,3 +173,11 @@ def test_exact_scaling_simulate_rung(monkeypatch, capsys):
     assert header == ["target", "cone", "components", "seconds", "path_steps_per_s", "peak_rss_mb"]
     assert row[:3] == ["gene:0,0,2,0,0", "3", "3/5"]
     assert float(row[4]) > 0 and float(row[5]) > 0
+
+
+def test_exact_scaling_numeric_rung(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "exact_scaling.py", "--numeric", "ou-env:3,5")
+    header, _, row = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert header == ["target", "dim", "live", "route", "seconds", "peak_rss_mb"]
+    assert row[:4] == ["ou-env:3,5", "51", "44", "dense"]  # x1(0) = 0: the moments odd in x1 stay zero
+    assert float(row[4]) >= 0 and float(row[5]) > 0
