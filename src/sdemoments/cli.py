@@ -10,6 +10,10 @@ simulate  weak Euler (+-sqrt(dt) increments) estimates only (CSV or JSON)
 table1    re-run the bundled benchmark suite and diff closure sizes
 verify    check bounds / tail estimates of a moment on a time grid
 
+`moment`, `table1 --solve` and `verify` take their values from one chain,
+`_answer`; `moment --simulate` checks its simulation flags before it builds
+the closure.
+
 Exit codes (stable contract): 0 success, 1 structural check failed,
 2 closure divergence or simulation blow-up, 3 model error,
 4 verification mismatch, 64 usage error, 141 (128 + SIGPIPE) when the
@@ -38,7 +42,6 @@ from .closure import (
 from .model import EXPONENT_FIELD, ModelError, SdeModel, load_benchmark, load_model_file
 from .montecarlo import BlowUpError, SimConfig, SimulationError, simulate_functional
 from .odesolve import (
-    FunctionalMoment,
     OdeSolveError,
     best_closed_form,
     linear_functional_moment,
@@ -292,57 +295,26 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_simulation_comparison(
-    model: SdeModel,
-    coeffs: dict[Monomial, Fraction],
-    times: Sequence[float],
-    values: Sequence[float],
-    args: argparse.Namespace,
-) -> tuple[list[dict], bool]:
-    """Monte Carlo at the positive times against the samples already taken."""
-    cfg = _sim_config(args, times)
-    estimates = simulate_functional(model, coeffs, cfg)
-    exact = [value for t, value in zip(times, values) if t > 0]
-    rows: list[dict] = []
-    all_ok = True
-    for est, value in zip(estimates, exact):
-        gap = abs(est.mean - value)
-        allowed = 4.0 * est.std_error
-        ok = bool(gap <= allowed)
-        all_ok = all_ok and ok
-        rows.append(
-            {
-                "time": est.time,
-                "exact": value,
-                "mc_mean": est.mean,
-                "mc_std_error": est.std_error,
-                "paths": est.paths,
-                "within_4_sigma": ok,
-            }
-        )
-    return rows, all_ok
-
-
-def _cmd_moment(args: argparse.Namespace) -> int:
-    model = _load(args.model)
-    label, coeffs = _target_coeffs(args, model)
-    times = _parse_times(args.times)
-    budget = _budget(args)
-
+def _answer(
+    model: SdeModel, label: str, coeffs: dict[Monomial, Fraction], times: Sequence[float], *,
+    certify: bool, closed_form: bool, budget: ClosureBudget | None, sim: SimConfig | None,
+) -> dict | DivergenceReport:
+    """The `moment --json` document of one target, or its closure's divergence:
+    the one chain behind `moment`, `table1` and `verify`.  It runs the
+    structural check, the closure (timed as build_seconds), the certificate
+    and the closed form when asked, the samples at `times` (none, and no
+    numpy, when `times` is empty), and with `sim` the Monte Carlo rows."""
     solvability = check_prosolvable(model)
     started = time.perf_counter()
     outcome = linear_functional_moment(model, coeffs, budget=budget)
     build_seconds = round(time.perf_counter() - started, 6)
     if isinstance(outcome, DivergenceReport):
-        print(outcome.describe(), file=sys.stderr)
-        return EXIT_DIVERGENCE
+        return outcome
 
     certificate = None
-    if args.certify:
+    if certify:
         if not solvability.prosolvable or solvability.partition is None:
-            raise _CliFailure(
-                "--certify requires a structurally solvable model", EXIT_CHECK_FAILED
-            )
+            raise _CliFailure("--certify requires a structurally solvable model", EXIT_CHECK_FAILED)
         try:
             cert = certify_closure(model, solvability.partition, outcome.system)
         except CertificateError as exc:
@@ -354,16 +326,14 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         }
 
     form = kind = note = None
-    if args.closed_form:
+    if closed_form:
         form, kind, note = best_closed_form(outcome)
-    values = [float(v) for v in outcome.eval_numeric(times)]
+    values = [float(v) for v in outcome.eval_numeric(times)] if times else []
     doc: dict = {
         "model": model.name,
         "target": label,
         "prosolvable": solvability.prosolvable,
-        "partition": None
-        if solvability.partition is None
-        else solvability.partition.describe(model.variables),
+        "partition": None if solvability.partition is None else solvability.partition.describe(model.variables),
         "closure_size": outcome.system.dimension,
         "build_seconds": build_seconds,
         "closed_form": None if form is None else str(form),
@@ -371,13 +341,37 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         "note": note,
         "samples": [{"time": t, "value": v} for t, v in zip(times, values)],
     }
-    if args.simulate:
-        rows, all_ok = _run_simulation_comparison(model, coeffs, times, values, args)
-        doc["simulation"] = rows
-        doc["simulation_ok"] = all_ok
+    if sim is not None:
+        exact = [value for t, value in zip(times, values) if t > 0]
+        doc["simulation"] = [
+            {
+                "time": est.time,
+                "exact": value,
+                "mc_mean": est.mean,
+                "mc_std_error": est.std_error,
+                "paths": est.paths,
+                "within_4_sigma": bool(abs(est.mean - value) <= 4.0 * est.std_error),
+            }
+            for est, value in zip(simulate_functional(model, coeffs, sim), exact)
+        ]
+        doc["simulation_ok"] = all(row["within_4_sigma"] for row in doc["simulation"])
     if certificate is not None:
         doc["certificate"] = certificate
+    return doc
 
+
+def _cmd_moment(args: argparse.Namespace) -> int:
+    model = _load(args.model)
+    label, coeffs = _target_coeffs(args, model)
+    times = _parse_times(args.times)
+    budget = _budget(args)
+    sim = _sim_config(args, times) if args.simulate else None  # a bad flag fails before the closure
+    doc = _answer(
+        model, label, coeffs, times, certify=args.certify, closed_form=args.closed_form, budget=budget, sim=sim
+    )
+    if isinstance(doc, DivergenceReport):
+        print(doc.describe(), file=sys.stderr)
+        return EXIT_DIVERGENCE
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -387,10 +381,11 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         if doc["partition"]:
             print(f"partition: {doc['partition']}")
         print(f"closure size: {doc['closure_size']}")
-        if certificate is not None:
+        if args.certify:
+            cert = doc["certificate"]
             print(
-                f"certificate: ok (weights {certificate['block_weights']}, "
-                f"weighted degree <= {certificate['max_weighted_degree']})"
+                f"certificate: ok (weights {cert['block_weights']}, "
+                f"weighted degree <= {cert['max_weighted_degree']})"
             )
         if args.closed_form:
             if doc["closed_form"] is not None:
@@ -481,38 +476,28 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     for name, exponents, expected_size, expected_flag in _TABLE1:
         model = load_benchmark(name)
         alpha = Monomial(exponents)
-        solvable = check_prosolvable(model).prosolvable
-        started = time.perf_counter()
-        result = build_closure(model, alpha)
-        elapsed = time.perf_counter() - started
-        if isinstance(result, DivergenceReport):
-            rows.append(
-                {
-                    "benchmark": name,
-                    "target": str(alpha),
-                    "status": "diverged",
-                    "ok": False,
-                }
-            )
+        doc = _answer(
+            model, f"E[x^{alpha}]", {alpha: Fraction(1)}, (),
+            certify=False, closed_form=args.solve, budget=None, sim=None,
+        )
+        if isinstance(doc, DivergenceReport):
+            rows.append({"benchmark": name, "target": str(alpha), "status": "diverged", "ok": False})
             all_ok = False
             continue
-        ok = result.dimension == expected_size and solvable == expected_flag
+        ok = doc["closure_size"] == expected_size and doc["prosolvable"] == expected_flag
         all_ok = all_ok and ok
         row = {
             "benchmark": name,
             "target": str(alpha),
-            "closure_size": result.dimension,
+            "closure_size": doc["closure_size"],
             "expected_size": expected_size,
-            "prosolvable": solvable,
+            "prosolvable": doc["prosolvable"],
             "expected_prosolvable": expected_flag,
-            "build_seconds": round(elapsed, 6),
+            "build_seconds": doc["build_seconds"],
             "ok": ok,
         }
         if args.solve:
-            # The target is component 0 of its closure.
-            weights = (Fraction(1),) + (Fraction(0),) * (result.dimension - 1)
-            _, kind, _ = best_closed_form(FunctionalMoment(result, weights, Fraction(0)))
-            row["solve_status"] = _SOLVE_STATUS[kind]
+            row["solve_status"] = _SOLVE_STATUS[doc["closed_form_kind"]]
         rows.append(row)
     if args.json:
         print(json.dumps({"rows": rows, "ok": all_ok}, indent=2))
@@ -550,9 +535,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     label, coeffs = _target_coeffs(args, model)
     times = _parse_times(args.times)
     if (args.markov_threshold is None) != (args.power is None):
-        raise _CliFailure(
-            "--markov-threshold and --power must be given together", EXIT_USAGE
-        )
+        raise _CliFailure("--markov-threshold and --power must be given together", EXIT_USAGE)
     if args.tail_exp is not None and args.markov_threshold is None:
         raise _CliFailure("--tail-exp requires --markov-threshold/--power", EXIT_USAGE)
     if args.markov_threshold is not None:
@@ -566,25 +549,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for flag, value in (("--lower", args.lower), ("--upper", args.upper), ("--tail-exp", args.tail_exp)):
         if value is not None and not math.isfinite(value):
             raise _CliFailure(f"{flag} must be finite, got {value:g}", EXIT_USAGE)
-    has_check = (
-        args.lower is not None
-        or args.upper is not None
-        or args.markov_threshold is not None
-    )
-    if not has_check:
-        raise _CliFailure(
-            "nothing to verify: pass --lower/--upper and/or "
-            "--markov-threshold with --power",
-            EXIT_USAGE,
-        )
+    if args.lower is None and args.upper is None and args.markov_threshold is None:
+        raise _CliFailure("nothing to verify: pass --lower/--upper and/or --markov-threshold with --power", EXIT_USAGE)
 
-    outcome = linear_functional_moment(model, coeffs)
-    if isinstance(outcome, DivergenceReport):
-        print(outcome.describe(), file=sys.stderr)
+    doc = _answer(model, label, coeffs, times, certify=False, closed_form=False, budget=None, sim=None)
+    if isinstance(doc, DivergenceReport):
+        print(doc.describe(), file=sys.stderr)
         return EXIT_DIVERGENCE
-    values = outcome.eval_numeric(times)
-    if args.markov_threshold is not None and (values < 0).any():
-        raise OdeSolveError(f"the even moment {label} is negative at some time: {values.min():.9g}")
+    values = [sample["value"] for sample in doc["samples"]]
+    if args.markov_threshold is not None and min(values) < 0:
+        raise OdeSolveError(f"the even moment {label} is negative at some time: {min(values):.9g}")
 
     tolerance = 1e-9
     all_ok = True
@@ -604,10 +578,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ok = ok and good
             checks.append(f"<= {args.upper:g}: {'pass' if good else 'FAIL'}")
         if args.markov_threshold is not None:
-            bound = markov_tail_bound(float(value), args.markov_threshold, args.power)
-            checks.append(
-                f"P(|Z| >= {args.markov_threshold:g}) <= {bound:.6g}"
-            )
+            bound = markov_tail_bound(value, args.markov_threshold, args.power)
+            checks.append(f"P(|Z| >= {args.markov_threshold:g}) <= {bound:.6g}")
             if args.tail_exp is not None:
                 cap = math.exp(-args.tail_exp * t)
                 good = bound <= cap + 1e-12

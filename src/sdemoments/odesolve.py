@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from operator import add
 from typing import Mapping, Sequence, Union
 
@@ -271,10 +271,14 @@ def _sparse_is_cheaper(size: int, norm: float, runs: Sequence[tuple[float, int]]
     over these runs of (gap, count) equal nonzero gaps, norm = ||aug||_1.  A
     dense run costs (squarings + 8) n^3, or j n^3 when its step is the step of
     the run before it squared j times (_doublings).  Ties, and no step at all,
-    keep the dense route."""
+    keep the dense route.  Raises OverflowError when the Taylor estimate is
+    beyond the float range."""
+    taylor = sum((norm * gap + _SPARSE_GAP) * k for gap, k in runs) * _SPARSE_UNIT
+    if taylor == math.inf:  # and so is the dense one, if any ||aug gap||_1 is
+        raise OverflowError("the Taylor work estimate is beyond the float range")
     gaps = [gap for gap, _ in runs]
     units = (_doublings(g0, g, norm) or _squarings(norm * g) + 8 for g0, g in zip([0.0, *gaps], gaps))
-    return sum((norm * gap + _SPARSE_GAP) * k for gap, k in runs) * _SPARSE_UNIT < sum(units) * size**3
+    return taylor < sum(units) * size**3
 
 
 def _start(ms: MomentSystem) -> np.ndarray:
@@ -300,7 +304,7 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
     squares the last step j times instead, bit for bit the same (_doublings:
     one Pade step serves 0, 0.25, 0.5, 1, 2, 4 once ||aug||_1 > 2 theta13).
     Raises OdeSolveError, naming the first non-finite time, when the state
-    overflows."""
+    or the route estimate overflows."""
     times = list(times)
     if not all(0 <= t < math.inf for t in times):  # NaN fails too
         raise ValueError("times must be finite and non-negative")
@@ -317,10 +321,16 @@ def eval_numeric(ms: MomentSystem, times: Sequence[float]) -> np.ndarray:
         kept, position = live[cols], live.cumsum() - 1
         data, rows, cols, order = data[kept], position[rows[kept]], position[cols[kept]], order[live]
     n = len(order) - 1  # the moments left
-    norm = np.bincount(cols, np.abs(data), n + 1).max()  # ||aug||_1
+    # ||aug||_1 and the gaps as Python floats: a product past the float range is inf, without a warning
+    norm = float(np.bincount(cols, np.abs(data), n + 1).max())
     distinct = sorted({0.0, *times})
-    runs = [(gap, len(list(run))) for gap, run in groupby(np.diff(distinct))]
-    sparse = _sparse_is_cheaper(n + 1, norm, runs)
+    runs = [(gap, len(list(run))) for gap, run in groupby(np.diff(distinct).tolist())]
+    try:
+        sparse = _sparse_is_cheaper(n + 1, norm, runs)
+    except OverflowError:  # the first time whose estimate is not finite
+        ends, work = accumulate(k for _, k in runs), accumulate((norm * gap + _SPARSE_GAP) * k for gap, k in runs)
+        t = next((distinct[end] for end, w in zip(ends, work) if w * _SPARSE_UNIT == math.inf), distinct[-1])
+        raise OdeSolveError(f"moment evaluation overflowed at t={t} (matrix norm {norm:.3g})") from None
     if sparse:
         from scipy.sparse import csr_array
 

@@ -439,6 +439,29 @@ class TestMomentSimulate:
         assert [row["time"] for row in doc["simulation"]] == [0.5]
         assert all(row["exact"] == sample[row["time"]] for row in doc["simulation"])
 
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--dt", "-1"], EXIT_MODEL_ERROR, "simulation error: dt must be positive and finite\n"),
+            (["--paths", "0"], EXIT_MODEL_ERROR, "simulation error: paths must be positive\n"),
+            (["--times", "0"], EXIT_USAGE, "error: need at least one positive record time\n"),
+        ],
+        ids=["dt", "paths", "times"],
+    )
+    def test_bad_simulation_flags_fail_before_the_closure(self, capsys, monkeypatch, flags, code, message):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("the closure was built before the simulation flags were checked")
+
+        monkeypatch.setattr(cli, "linear_functional_moment", no_closure)
+        got, out, err = run_cli(capsys, "moment", OU_ENV, "--alpha", "0,2", "--simulate", *flags)
+        assert (got, out, err) == (code, "", message)
+
+    def test_a_bad_flag_wins_over_a_divergent_closure(self, capsys):
+        # E[x1] on coupled3d diverges (exit 2 after about 10,000 monomials);
+        # the flag error is reported first.
+        code, out, err = run_cli(capsys, "moment", COUPLED3D, "--alpha", "1,0,0", "--simulate", "--dt", "-1")
+        assert (code, out, err) == (EXIT_MODEL_ERROR, "", "simulation error: dt must be positive and finite\n")
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -977,24 +1000,32 @@ class TestRepeatedCalls:
 
 class TestNumericFailure:
     @pytest.mark.parametrize(
-        "command, flags",
-        [("verify", ["--upper", "1"]), ("moment", [])],
-        ids=["verify", "moment"],
+        "command, flags, model, alpha, times",
+        [
+            ("verify", ["--upper", "1"], None, "2", "10"),
+            ("moment", [], None, "2", "10"),
+            # ||aug||_1 * t passes the float range: the route estimate is not finite
+            ("moment", [], "ou-env", "0,2", "0,1e308"),
+            ("verify", ["--upper", "1"], "ou-env", "0,2", "0,1e308"),
+            ("moment", [], "vehicles", "0,0,2,0", "0,1e307"),
+        ],
+        ids=["verify", "moment", "moment-ou-env-1e308", "verify-ou-env-1e308", "moment-vehicles-1e307"],
     )
-    def test_overflow_exits_three_without_traceback(self, write_model, command, flags):
+    def test_overflow_exits_three_without_traceback(self, write_model, command, flags, model, alpha, times):
         # E[x^2] grows like e^{200 t}: the state overflows at t = 10.  Run as
         # a process so that a traceback or a numpy warning would show.
-        path = write_model(
+        path = str(BENCHMARKS / f"{model}.json") if model else write_model(
             "explode", variables=["x1"], drift=["100*x1"], diffusion=[["1"]], values=["1"]
         )
         proc = subprocess.run(
             [sys.executable, "-m", "sdemoments", command, path,
-             "--alpha", "2", "--times", "10", *flags],
+             "--alpha", alpha, "--times", times, *flags],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == EXIT_MODEL_ERROR
-        assert "numeric evaluation failed: moment evaluation overflowed at t=10" in proc.stderr
+        last = times.split(",")[-1]
+        assert f"numeric evaluation failed: moment evaluation overflowed at t={float(last):g}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
@@ -1095,3 +1126,35 @@ class TestBrokenPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# golden output
+# ---------------------------------------------------------------------------
+
+# Each case is `main(argv)` run from the repository root, with its exit code,
+# stdout and stderr: `moment` on one target of every bundled model with every
+# --closed-form/--certify combination as text and JSON, two functional
+# targets, `table1` and three `verify` runs.
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())["cases"]
+FLOAT = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
+
+
+def masked(out: str) -> tuple[str, list[float]]:
+    """stdout with the build times masked and its floats taken out."""
+    out = re.sub(r'"build_seconds": [^,\n]+', '"build_seconds": <t>', out)
+    out = re.sub(r" +\d+\.\d{4}s", "  <t>", out)  # table1's time column
+    return FLOAT.sub("<f>", out), [float(x) for x in FLOAT.findall(out)]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", CLI_GOLDEN, ids=[" ".join(c["argv"]) for c in CLI_GOLDEN])
+    def test_output_matches(self, capsys, case):
+        argv = [str(BENCHMARKS / a.removeprefix("benchmarks/")) if a.startswith("benchmarks/") else a
+                for a in case["argv"]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (case["code"], case["stderr"])
+        text, floats = masked(out)
+        want_text, want_floats = masked(case["stdout"])
+        assert text == want_text
+        assert floats == pytest.approx(want_floats, rel=1e-12)  # BLAS builds differ in the last bit

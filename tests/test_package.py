@@ -130,6 +130,29 @@ def test_every_public_method_is_named_outside_its_definition():
     assert unnamed == []
 
 
+def test_one_moment_chain_in_the_cli():
+    """Only cli._answer closes a target, certifies it and picks its closed
+    form, and only it and `check` run the structural check, so the commands
+    that answer a moment question share one chain."""
+    allowed = {
+        "linear_functional_moment": {"_answer"},
+        "best_closed_form": {"_answer"},
+        "certify_closure": {"_answer"},
+        "check_prosolvable": {"_answer", "_cmd_check"},
+    }
+    tree = ast.parse((Path(sdemoments.__file__).parent / "cli.py").read_text())
+    strays = [
+        f"{function.name} calls {name}"
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        if name in allowed and function.name not in allowed[name]
+    ]
+    assert strays == []
+
+
 def run_script(monkeypatch, capsys, name, *argv):
     monkeypatch.setattr(sys, "argv", [name, *argv])
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
