@@ -14,16 +14,20 @@ rows read, and path-steps per second (time it with OPENBLAS_NUM_THREADS=1).
 A first argument --numeric times eval_numeric at the 8 times of the benchmark's
 `numeric` workload and gives the moments it steps (the others are structurally
 zero) and the route it takes, dense Pade or sparse Taylor.
+A first argument --spectrum times the characteristic polynomial and its rational
+roots on K:D, a K x K block of K/2 eigenvalues (denominators <= D) each twice.
 
-    PYTHONPATH=src python scripts/exact_scaling.py [--closure | --simulate | --numeric] [TARGET ...]
+    PYTHONPATH=src python scripts/exact_scaling.py [--closure | --simulate | --numeric | --spectrum] [TARGET ...]
 """
 
 import contextlib
 import json
+import random
 import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 DEFAULT = ["gene:0,0,0,0,3", "gene:0,0,0,0,4", "gene:0,0,0,0,5"]
 LADDER = [f"ou-env:{k},{k}" for k in (8, 16, 24, 33)]  # dim 148, 552, 1,212 and 2,260
@@ -101,15 +105,36 @@ def measure_numeric(target: str) -> dict:
             "seconds": round(seconds, 3), "peak_rss_mb": round(rss, 1)}
 
 
+def measure_spectrum(target: str) -> dict:
+    from sdemoments import odesolve
+
+    k, top = map(int, target.split(":"))
+    rng = random.Random(target)
+    want = sorted(Fraction(rng.randint(-top, top), rng.randint(1, top)) for _ in range(k // 2)) * 2
+    a = [[want[i] * (i == j) for j in range(k)] for i in range(k)]
+    for i, j in (rng.sample(range(k), 2) for _ in range(2 * k)):  # conjugate: row i += row j, col j -= col i
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        a = [[*row[:j], row[j] - row[i], *row[j + 1 :]] for row in a]
+    started, poly = time.perf_counter(), odesolve.characteristic_polynomial(a)  # left to right: clock, then work
+    middle, odesolve.characteristic_polynomial = time.perf_counter(), lambda matrix: poly  # time the search alone
+    try:
+        verdict = "rational" if odesolve._rational_spectrum(a) == sorted(want, reverse=True) else "wrong"
+    except odesolve.ClosedFormUnsupported:
+        verdict = "not rational"
+    ended = time.perf_counter()
+    return {"charpoly_s": round(middle - started, 3), "roots_s": round(ended - middle, 3), "verdict": verdict}
+
+
 def main(argv: list[str]) -> None:
     if argv[:1] == ["--child"]:
         target, *step = argv[1:]
-        measures = {"simulate": measure_simulate, "numeric": measure_numeric}
+        measures = {"simulate": measure_simulate, "numeric": measure_numeric, "spectrum": measure_spectrum}
         print(json.dumps(measures[step[0]](target) if step and step[0] in measures
                          else measure_closure(target, *step) if step else measure(target)))
         return
     ladders = {"--closure": (LADDER, [["build"], ["rows"], ["json"]]), "--simulate": (CONES, [["simulate"]]),
-               "--numeric": (NUMERIC, [["numeric"]])}
+               "--numeric": (NUMERIC, [["numeric"]]),
+               "--spectrum": ([f"{k}:{d}" for d in (7, 10**6) for k in (10, 20, 30, 40)], [["spectrum"]])}
     mode = argv[0] if argv[:1] and argv[0] in ladders else None
     targets, steps = ladders.get(mode, (DEFAULT, [[]]))
     for i, target in enumerate(argv[mode is not None :] or targets):

@@ -30,7 +30,8 @@ so one matrix exponential covers both parts.  Three evaluation routes:
                         exact variation of constants, a larger one by
                         removing one rational eigenvalue of its
                         characteristic polynomial per step (kernel vector,
-                        rank-one update, one scalar solve).
+                        rank-one update, one scalar solve), each found in
+                        integers (_rational_spectrum).
   * solve_closed_form_float
                       — numeric eigendecomposition for irrational spectra;
                         refuses clustered/repeated eigenvalues (Jordan
@@ -75,10 +76,8 @@ class ClosedFormUnsupported(Exception):
 
     For the exact path, `remaining_factor` carries the monic factor
     (ascending coefficients) of the first SCC block whose spectrum is not
-    rational: the block's characteristic polynomial with its rational roots
-    divided out.  Those are r / L for the integer roots r of the
-    characteristic polynomial of L times the block, L its common
-    denominator, each verified by exact division (see _rational_spectrum).
+    rational: the block's characteristic polynomial with its rational roots,
+    found exactly by _rational_spectrum, divided out.
     """
 
     def __init__(self, reason: str, remaining_factor: tuple[Fraction, ...] | None = None):
@@ -394,27 +393,55 @@ def characteristic_polynomial(matrix: ExactMatrix) -> list[Fraction]:
     return [Fraction(c, scale ** (k - i)) for i, c in enumerate(reversed(coeffs_desc))]
 
 
-def _divide(coeffs_asc: Sequence[int], root: int) -> tuple[int, list[int]]:
-    """(p(root), q) with p(x) = (x - root) q(x) + p(root), by synthetic
-    division in integers; so p'(root) = q(root)."""
-    acc, desc = 0, []
-    for c in reversed(coeffs_asc):
-        acc = acc * root + c
-        desc.append(acc)
-    return desc.pop(), desc[::-1]
+def _value(p: Sequence[int], x: int) -> int:
+    """p(x) by Horner's rule in integers, p ascending."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
-def _newton(coeffs_asc: Sequence[int], x: int) -> int:
-    """x after the integer Newton steps x -= round(p(x) / p'(x)), taken for
-    as long as |step| strictly shrinks."""
-    last = None
-    while True:
-        value, quotient = _divide(coeffs_asc, x)
-        slope = _divide(quotient, x)[0]
-        step = round(Fraction(value, slope)) if slope else 0
-        if not step or (last is not None and abs(step) >= abs(last)):
-            return x
-        x, last = x - step, step
+def _crossing(p: Sequence[int], lo: int, hi: int, low: int, high: int) -> tuple[int, int, int]:
+    """The mark of the one root of p in (lo, hi), where p is monotone and
+    low = p(lo), high = p(hi) have strictly opposite signs.  Steps are false
+    position with the Illinois rule (an end kept twice in a row has its
+    weight halved), but every second step bisects if the two before it did
+    not halve hi - lo, so hi - lo halves at least every four steps."""
+    rising, last, before, second, weights = high > 0, None, hi - lo, False, [low, high]
+    while hi - lo > 1:
+        width = hi - lo
+        halve, second = second and 2 * width > before, not second
+        before = before if second else width
+        x = lo + width // 2 if halve else min(max(lo - width * weights[0] // (weights[1] - weights[0]), lo + 1), hi - 1)
+        if not (value := _value(p, x)):
+            return x, x, 0
+        side = int((value > 0) == rising)  # 1: x replaces hi
+        lo, low, hi, high = (lo, low, x, value) if side else (x, value, hi, high)
+        if side == last:
+            weights[1 - side] //= 2
+        weights[side], last = value, side
+    return lo, hi, max(abs(low), abs(high))
+
+
+def _root_marks(p: Sequence[int], bound: int) -> list[tuple[int, int, int]]:
+    """Marks (lo, hi, size) holding every real root where p changes sign, p in
+    integers, ascending, of degree >= 1, its real roots in (-bound, bound): a
+    root if lo = hi, else [lo, lo + 1] with size >= max |p| on it.  Between
+    marks of p', p is monotone (Rolle: see _crossing); on an interval mark of
+    p', |p(x) - p(lo)| <= size |x - lo|, so if p(lo) p(hi) > 0 and |p(lo)| +
+    |p(hi)| > size, p has no root there."""
+    below = _root_marks([i * c for i, c in enumerate(p)][1:], bound) if len(p) > 2 else []
+    slopes = {lo: size for lo, hi, size in below if hi > lo}
+    ends = sorted({-bound, bound, *(x for lo, hi, _ in below for x in (lo, hi))})
+    values = [_value(p, x) for x in ends]
+    marks = [(x, x, 0) for x, value in zip(ends, values) if not value]
+    for lo, hi, low, high in zip(ends, ends[1:], values, values[1:]):
+        if lo in slopes:
+            if low * high <= 0 or abs(low) + abs(high) <= slopes[lo]:
+                marks.append((lo, hi, (abs(low) + abs(high) + slopes[lo] + 1) // 2))
+        elif low * high < 0:
+            marks.append(_crossing(p, lo, hi, low, high))
+    return marks
 
 
 def _kernel_vector(a: ExactMatrix, lam: Fraction) -> tuple[int, list[Fraction]]:
@@ -647,42 +674,25 @@ def _scalar_form(lam: Fraction, forcing: Form, start: Fraction) -> Form:
 def _rational_spectrum(a: ExactMatrix) -> list[Fraction]:
     """The eigenvalues of a with multiplicity, descending.  With L the common
     denominator of a, B = L a has a monic integer characteristic polynomial
-    g, whose rational roots are integers r: the eigenvalues r / L of a.
-    Float hints locate them: the roots of g written in the unscaled
-    variable (so the float coefficients cannot overflow), then the roots of
-    each derivative of the factor still left (a root of multiplicity m is a
-    simple root of the (m-1)-th).  Each hint is scaled by L, rounded,
-    refined by integer Newton steps on the polynomial it came from, and
-    kept while synthetic division leaves remainder zero.  Raises
-    ClosedFormUnsupported when a factor with no rational root remains."""
+    g of degree k, whose rational roots are integers r: the eigenvalues
+    r / L of a, divided out as often as they divide, found among the marks of
+    g (_root_marks): exact, with no float.  The real roots of g and of its
+    derivatives (Gauss-Lucas) lie within the Fujiwara bound 2 max_i
+    |g_i|^(1/(k-i)), here from bit lengths.  Raises ClosedFormUnsupported
+    when a factor with no rational root remains."""
     scale = math.lcm(*(x.denominator for row in a for x in row))
     g = [int(c * scale ** (len(a) - i)) for i, c in enumerate(characteristic_polynomial(a))]
-
-    def unscaled(h: list[int]) -> list[Fraction]:  # h(L x) / L^deg h, monic
-        return [Fraction(c, scale ** (len(h) - 1 - i)) for i, c in enumerate(h)]
-
+    bound = 2 ** (2 + max(-(-abs(c).bit_length() // (len(g) - 1 - i)) for i, c in enumerate(g[:-1])))
     roots: list[int] = []
-    order = 0
-    while order < len(g) - 1:
-        source = g
-        for _ in range(order):
-            source = [i * c for i, c in enumerate(source)][1:]
-        for hint in np.roots(np.polyder([float(c) for c in reversed(unscaled(g))], order)):
-            if not math.isfinite(hint.real):
-                continue
-            root = _newton(source, round(Fraction(hint.real) * scale))
-            while len(g) > 1:
-                remainder, quotient = _divide(g, root)
-                if remainder:
-                    break
-                g = quotient
-                roots.append(root)
-        order += 1
+    for root in [lo for lo, hi, _ in _root_marks(g, bound) if lo == hi]:
+        while len(g) > 1 and not _value(g, root):  # synthetic division by x - root
+            g = list(accumulate(reversed(g[1:]), lambda acc, c: acc * root + c))[::-1]
+            roots.append(root)
     if len(g) > 1:
         raise ClosedFormUnsupported(
             f"the spectrum is not rational: an SCC block of size {len(a)} leaves a "
             f"characteristic factor of degree {len(g) - 1} with no rational root",
-            remaining_factor=tuple(unscaled(g)),
+            remaining_factor=tuple(Fraction(c, scale ** (len(g) - 1 - i)) for i, c in enumerate(g)),
         )
     return [Fraction(r, scale) for r in sorted(roots, reverse=True)]
 

@@ -1097,6 +1097,36 @@ FOUND_BLOCK = [
 ]
 
 
+# s x^2 - s (2c + 1) x + s c (c + 1) + e with 0 < e <= s / 4: both roots,
+# c + 1/2 +- sqrt(1/4 - e / s), lie in (c, c + 1).
+CLOSE_PAIRS = st.builds(
+    lambda c, s, e: [s * c * (c + 1) + e, -s * (2 * c + 1), s],
+    st.integers(-5, 5),
+    st.integers(80, 120),
+    st.integers(1, 20),
+)
+
+
+def conjugated(matrix, seed):
+    """U matrix U^-1 for a unimodular integer U: 2k random steps of row
+    i += w row j, then column j -= w column i, with w = +-1."""
+    rng = random.Random(seed)
+    k = len(matrix)
+    matrix = [[F(x) for x in row] for row in matrix]
+    for _ in range(2 * k):
+        i, j = rng.sample(range(k), 2)
+        w = rng.choice([-1, 1])
+        for c in range(k):
+            matrix[i][c] += w * matrix[j][c]
+        for r in range(k):
+            matrix[r][j] -= w * matrix[r][i]
+    return matrix
+
+
+def diagonal(*values):
+    return [[v if i == j else F(0) for j in range(len(values))] for i, v in enumerate(values)]
+
+
 @st.composite
 def rational_spectrum_blocks(draw):
     """A block with a rational spectrum: up to three eigenvalues p/q, q up to
@@ -1268,6 +1298,13 @@ class TestTriangularPath:
     @settings(max_examples=60, deadline=None)
     @given(rational_spectrum_blocks())
     @example(FOUND_BLOCK)
+    # Eigenvalues closer than a float can tell apart, and the companion
+    # matrix of (x + 1)(x + 2)^2, where -2 is a root of both the polynomial
+    # and its derivative and -1 lies just beyond it.
+    @example(conjugated(diagonal(F(-1, 10**9), F(-1, 10**9 + 1)), 0))
+    @example(conjugated(diagonal(F(1, 3), F(1, 3) + F(1, 10**9), F(-5)), 1))
+    @example(conjugated(diagonal(F(7, 11), F(7, 11), F(7, 11), F(7, 11) + F(1, 10**9)), 2))
+    @example(conjugated(companion([F(4), F(8), F(5), F(1)]), 3))
     def test_spectrum_matches_sympy(self, a):
         want = sympy.Matrix(a).eigenvals()
         got = odesolve._rational_spectrum(a)
@@ -1275,19 +1312,40 @@ class TestTriangularPath:
             (F(int(lam.p), int(lam.q)) for lam, mult in want.items() for _ in range(mult)), reverse=True
         )
 
+    def test_thirty_close_eigenvalues(self):
+        # 15 eigenvalues -1/(10^6 - i), within 1.5e-11 of each other, each
+        # twice: too large for sympy, and too close for float guesses.
+        values = [F(-1, 10**6 - i) for i in range(15)] * 2
+        assert odesolve._rational_spectrum(conjugated(diagonal(*values), 30)) == sorted(values, reverse=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 9), st.integers(-60, 60), st.integers(1, 3)), min_size=1, max_size=6),
+        st.lists(CLOSE_PAIRS, max_size=2),
+    )
+    @example([(1, 4, 2), (1, 5, 2), (2, 37, 3)], [])
+    @example([(1, 0, 2), (1, -1, 2), (1, -6, 2), (7, 40, 1)], [])
+    @example([(1, 1, 2), (1, -3, 2), (2, -1, 1)], [[2, 0, 1], [208, 279, 93]])
+    def test_root_marks_hold_every_integer_root(self, linear, quadratics):
+        # p = prod (a x - b)^m times the quadratics: every integer root b / a
+        # is a root mark, and every other mark is [lo, lo + 1] with |p| at
+        # both ends and the midpoint at most its size.
+        p = [1]
+        for f in [[-b, a] for a, b, m in linear for _ in range(m)] + quadratics:
+            p = [sum(c * p[i - j] for j, c in enumerate(f) if 0 <= i - j < len(p)) for i in range(len(p) + len(f) - 1)]
+        marks = odesolve._root_marks(p, 2 ** (2 + max(abs(c).bit_length() for c in p)))
+        assert {b // a for a, b, _ in linear if b % a == 0} <= {lo for lo, hi, _ in marks if lo == hi}
+        for lo, hi, size in marks:
+            if lo == hi:
+                assert odesolve._value(p, lo) == 0
+            else:
+                assert hi == lo + 1 and max(abs(odesolve._value(p, x)) for x in (lo, F(2 * lo + 1, 2), hi)) <= size
+
     @pytest.mark.parametrize("k", range(4, 10))
     def test_conjugated_jordan_blocks_solve_exactly(self, k):
         # J_k(-5/19) conjugated by unimodular integer matrices: a rational
         # root of multiplicity k behind one Jordan chain.
-        rng = random.Random(k)
-        matrix = [[F(-5, 19) if i == j else F(int(j == i + 1)) for j in range(k)] for i in range(k)]
-        for _ in range(2 * k):
-            i, j = rng.sample(range(k), 2)
-            w = rng.choice([-1, 1])
-            for c in range(k):
-                matrix[i][c] += w * matrix[j][c]
-            for r in range(k):
-                matrix[r][j] -= w * matrix[r][i]
+        matrix = conjugated([[F(-5, 19) if i == j else F(int(j == i + 1)) for j in range(k)] for i in range(k)], k)
         ms = synthetic_system(matrix, range(k), constants=[1] * k)
         assert block_sizes(ms) == [k]
         forms = solve_closed_form_vector(ms)

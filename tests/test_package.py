@@ -198,6 +198,14 @@ def test_exact_scaling_simulate_rung(monkeypatch, capsys):
     assert float(row[4]) > 0 and float(row[5]) > 0
 
 
+def test_exact_scaling_spectrum_rung(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "exact_scaling.py", "--spectrum", "6:7", "4:1000000")
+    header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert header == ["target", "charpoly_s", "roots_s", "verdict"]
+    assert [(row[0], row[3]) for row in rows] == [("6:7", "rational"), ("4:1000000", "rational")]
+    assert all(float(row[1]) >= 0 and float(row[2]) >= 0 for row in rows)
+
+
 def test_exact_scaling_numeric_rung(monkeypatch, capsys):
     lines = run_script(monkeypatch, capsys, "exact_scaling.py", "--numeric", "ou-env:3,5")
     header, _, row = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
