@@ -16,22 +16,28 @@ A first argument --numeric times eval_numeric at the 8 times of the benchmark's
 zero) and the route it takes, dense Pade or sparse Taylor.
 A first argument --spectrum times the characteristic polynomial and its rational
 roots on K:D, a K x K block of K/2 eigenvalues (denominators <= D) each twice.
+A first argument --model gives per bundled model the median milliseconds of 300 calls each of
+load_model_file, check_prosolvable, compute_block_weights and Generator(model), paid before any closure.
 
-    PYTHONPATH=src python scripts/exact_scaling.py [--closure | --simulate | --numeric | --spectrum] [TARGET ...]
+    PYTHONPATH=src python scripts/exact_scaling.py [--closure | --simulate | --numeric | --spectrum | --model]
+        [TARGET ...]
 """
 
 import contextlib
 import json
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import time
+import timeit
 from fractions import Fraction
 
 DEFAULT = ["gene:0,0,0,0,3", "gene:0,0,0,0,4", "gene:0,0,0,0,5"]
 LADDER = [f"ou-env:{k},{k}" for k in (8, 16, 24, 33)]  # dim 148, 552, 1,212 and 2,260
 NUMERIC = [*LADDER, "gene:0,0,0,4,1"]
+MODELS = ["ou-env", "gene", "consensus", "vehicles", "oscillator", "coupled3d", "double-well"]
 CONES = [f"gene:{','.join('2' if v == k else '0' for v in range(5))}" for k in range(5)]  # cones of 1-5
 
 
@@ -125,15 +131,30 @@ def measure_spectrum(target: str) -> dict:
     return {"charpoly_s": round(middle - started, 3), "roots_s": round(ended - middle, 3), "verdict": verdict}
 
 
+def measure_model(target: str) -> dict:
+    from sdemoments import generator, model, prosolve
+
+    path = model.benchmarks_dir() / f"{target}.json"
+    bench = model.load_model_file(path)
+    verdict = prosolve.check_prosolvable(bench)
+    calls = {"load_ms": lambda: model.load_model_file(path), "check_ms": lambda: prosolve.check_prosolvable(bench),
+             "weights_ms": lambda: prosolve.compute_block_weights(bench, verdict.partition),
+             "generator_ms": lambda: generator.Generator(bench)}
+    return {key: "-" if key == "weights_ms" and not verdict.prosolvable  # no partition to weigh
+            else round(statistics.median(timeit.repeat(call, number=1, repeat=300)) * 1e3, 4)
+            for key, call in calls.items()}
+
+
 def main(argv: list[str]) -> None:
     if argv[:1] == ["--child"]:
         target, *step = argv[1:]
-        measures = {"simulate": measure_simulate, "numeric": measure_numeric, "spectrum": measure_spectrum}
+        measures = {"simulate": measure_simulate, "numeric": measure_numeric, "spectrum": measure_spectrum,
+                    "model": measure_model}
         print(json.dumps(measures[step[0]](target) if step and step[0] in measures
                          else measure_closure(target, *step) if step else measure(target)))
         return
     ladders = {"--closure": (LADDER, [["build"], ["rows"], ["json"]]), "--simulate": (CONES, [["simulate"]]),
-               "--numeric": (NUMERIC, [["numeric"]]),
+               "--numeric": (NUMERIC, [["numeric"]]), "--model": (MODELS, [["model"]]),
                "--spectrum": ([f"{k}:{d}" for d in (7, 10**6) for k in (10, 20, 30, 40)], [["spectrum"]])}
     mode = argv[0] if argv[:1] and argv[0] in ladders else None
     targets, steps = ladders.get(mode, (DEFAULT, [[]]))

@@ -215,7 +215,7 @@ def _augmented(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     rows, constants = ms.rows + ((),), ms.vector_c + (_ZERO,)
     entries = [list(rows[i]) + ([(n, constants[i])] if constants[i] else []) for i in order]
     values = [v for row in entries for _, v in row]
-    floats = {k: float(v) for k, v in {id(v): v for v in values}.items()}
+    floats = {k: v.numerator / v.denominator for k, v in {id(v): v for v in values}.items()}
     data = np.array([floats[id(v)] for v in values])
     cols = np.argsort(order)[np.array([j for row in entries for j, _ in row], dtype=np.int64)]
     return data, np.repeat(np.arange(n + 1), [len(row) for row in entries]), cols, order
@@ -283,7 +283,7 @@ def _sparse_is_cheaper(size: int, norm: float, runs: Sequence[tuple[float, int]]
 def _start(ms: MomentSystem) -> np.ndarray:
     """[m0; 1] in floats, or OdeSolveError naming a start moment beyond the float range."""
     try:
-        return np.array([*map(float, ms.m0), 1.0])
+        return np.array([*(v.numerator / v.denominator for v in ms.m0), 1.0])
     except OverflowError:
         index = next(m for m, v in zip(ms.indices, ms.m0) if abs(v) > np.finfo(float).max)
         raise OdeSolveError(f"the start moment {index} is beyond the float range") from None
@@ -597,6 +597,8 @@ _ONE: Form = (1, {(0, 1): [1]})
 def _axpy(parts) -> Form:
     """sum of weight * form over (weight, form) pairs: one lcm, then int multiply-adds."""
     parts = [(w, form) for w, form in parts if w and form[1]]
+    if not parts:
+        return 1, {}
     den = math.lcm(*(w.denominator * d for w, (d, _) in parts))
     acc: dict[tuple[int, int], list[int]] = {}
     for w, (d, terms) in parts:
@@ -737,6 +739,16 @@ def _solve_forms(ms: MomentSystem) -> list[Form]:
     their solved forms, with c, are the block's forcing."""
     forms: list[Form] = [(1, {})] * ms.dimension
     for block in (b for b in ms.blocks if b[0] not in ms.zeros):  # the others' forms are zero
+        if len(block) == 1:  # one scalar solve
+            [i] = block
+            diagonal, parts = _ZERO, [(ms.vector_c[i], _ONE)]
+            for j, coeff in ms.rows[i]:
+                if j == i:
+                    diagonal = coeff
+                else:
+                    parts.append((coeff, forms[j]))
+            forms[i] = _scalar_form(diagonal, _axpy(parts), ms.m0[i])
+            continue
         local = {i: p for p, i in enumerate(block)}
         a = [[_ZERO] * len(block) for _ in block]
         forcings: list[Form] = []
@@ -846,8 +858,8 @@ class FunctionalMoment:
 
     def eval_numeric(self, times: Sequence[float]) -> np.ndarray:
         vectors = eval_numeric(self.system, times)
-        w = np.array([float(x) for x in self.weights])
-        return vectors @ w + float(self.offset)
+        w = np.array([x.numerator / x.denominator for x in self.weights])
+        return vectors @ w + self.offset.numerator / self.offset.denominator
 
     def closed_form_exact(self) -> ClosedForm:
         parts = zip((self.offset, *self.weights), (_ONE, *_solve_forms(self.system)))

@@ -4,7 +4,9 @@ Coefficients are `fractions.Fraction` throughout; nothing in this module ever
 rounds.  A polynomial is a sparse map from exponent vectors to nonzero
 coefficients, kept canonical at all times (no explicit zero terms).  The term
 order used for printing and iteration is graded lexicographic: higher total
-degree first, ties broken lexicographically on the exponent vector.
+degree first, ties broken lexicographically on the exponent vector.  The
+parser works on plain {exponent tuple: int or Fraction} dicts and builds one
+Polynomial per expression, not one per atom or operator.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class Monomial:
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_dim(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._trusted(tuple([a + b for a, b in zip(self.exponents, other.exponents)]))
 
     def __lt__(self, other: "Monomial") -> bool:
         # Graded lexicographic: total degree first, then the exponent tuple.
@@ -83,7 +85,7 @@ class Monomial:
 
     @staticmethod
     def constant(dimension: int) -> "Monomial":
-        return Monomial((0,) * dimension)
+        return Monomial._trusted((0,) * dimension)
 
     @staticmethod
     def unit(dimension: int, var: int) -> "Monomial":
@@ -91,7 +93,7 @@ class Monomial:
             raise IndexError(f"variable index {var} out of range for dimension {dimension}")
         exps = [0] * dimension
         exps[var] = 1
-        return Monomial(tuple(exps))
+        return Monomial._trusted(tuple(exps))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.exponents) + ")"
@@ -111,6 +113,17 @@ def _iroot(n: int, p: int) -> int:
     while (y := ((p - 1) * x + n // x ** (p - 1)) // p) < x:
         x = y
     return x
+
+
+def _merge(acc: dict, terms: Mapping) -> None:
+    """acc += terms, in place, dropping the terms that cancel."""
+    for mono, coeff in terms.items():
+        prev = acc.get(mono)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            acc[mono] = total
+        elif prev is not None:
+            del acc[mono]
 
 
 TermsLike = Mapping[Union[Monomial, tuple[int, ...]], Scalar]
@@ -155,11 +168,8 @@ class Polynomial:
 
     @staticmethod
     def constant(dimension: int, value: Scalar) -> "Polynomial":
-        return Polynomial(dimension, {Monomial.constant(dimension): value})
-
-    @staticmethod
-    def variable(dimension: int, var: int) -> "Polynomial":
-        return Polynomial(dimension, {Monomial.unit(dimension, var): 1})
+        c = _as_fraction(value)
+        return Polynomial._raw(dimension, {Monomial.constant(dimension): c} if c else {})
 
     @staticmethod
     def monomial(mono: Monomial, coeff: Scalar = 1) -> "Polynomial":
@@ -190,13 +200,7 @@ class Polynomial:
             return NotImplemented
         self._check_dim(other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                out[mono] = total
-            elif acc is not None:
-                del out[mono]
+        _merge(out, other.terms)
         return self._raw(self.dimension, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -334,155 +338,161 @@ class Polynomial:
 #   number := uint ["." digits] | uint "/" uint
 #
 # "/" is only legal between two integer literals; decimals are exact
-# (e.g. "0.3" means 3/10).
+# (e.g. "0.3" means 3/10).  Tokens are (kind, text, position) tuples; each
+# rule returns a term dict {exponent tuple: nonzero int or Fraction}, its terms
+# in the order Polynomial's own operators would give them.  Integer literals
+# and variables stay ints, so most coefficient arithmetic is int arithmetic.
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+\.?|\.\d+)
+    \s*(?:
+    (?P<number>\d+\.\d+|\d+\.?|\.\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
-    """,
+  | (?P<bad>\S)
+    )""",
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "int", "decimal", "ident", one of "+-*/^()", or "end"
-    text: str
-    pos: int
+Terms = dict[tuple[int, ...], Scalar]
 
 
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(src):
-        match = _TOKEN_RE.match(src, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if match.lastgroup == "number":
-            text = match.group()
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token: kind is "int", "decimal", "ident",
+    one of "+-*/^()", or "end" for the closing token."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(src):  # trailing whitespace matches nothing
+        kind = match.lastgroup
+        text, pos = match[kind], match.start(kind)
+        if kind == "number":
             if text.endswith(".") or text.startswith("."):
                 raise ParseError(f"malformed number {text!r}", pos)
-            kind = "decimal" if "." in text else "int"
-            tokens.append(_Token(kind, text, pos))
-        elif match.lastgroup == "ident":
-            tokens.append(_Token("ident", match.group(), pos))
-        elif match.lastgroup == "op":
-            tokens.append(_Token(match.group(), match.group(), pos))
-        pos = match.end()
-    tokens.append(_Token("end", "", len(src)))
+            tokens.append(("decimal" if "." in text else "int", text, pos))
+        elif kind == "ident":
+            tokens.append((kind, text, pos))
+        elif kind == "op":
+            tokens.append((text, text, pos))
+        else:
+            raise ParseError(f"unexpected character {text!r}", pos)
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
+def _negated(terms: Terms) -> Terms:
+    return {mono: -coeff for mono, coeff in terms.items()}
+
+
+def _times(a: Terms, b: Terms) -> Terms:
+    """a * b, dropping the terms that cancel."""
+    out: Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple([x + y for x, y in zip(m1, m2)])
+            prev = out.get(mono)
+            total = c1 * c2 if prev is None else prev + c1 * c2
+            if total:
+                out[mono] = total
+            elif prev is not None:
+                del out[mono]
+    return out
+
+
 class _Parser:
-    def __init__(self, src: str, names: Sequence[str]):
-        self.src = src
-        self.names = {name: i for i, name in enumerate(names)}
-        self.dimension = len(names)
+    def __init__(self, src: str, names: dict[str, int]):
+        self.names = names
+        self.zero = (0,) * len(names)
         self.tokens = _tokenize(src)
         self.index = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
-
-    def parse(self) -> Polynomial:
+    def parse(self) -> Terms:
         result = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":  # expr() stops only at ")", "^" or the end
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[self.index]
+        if kind != "end":  # expr() stops only at ")", "^" or the end
+            raise ParseError(f"unexpected {text!r}", pos)
         return result
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> Terms:
         result = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            result = result + rhs if op.kind == "+" else result - rhs
+        while (kind := self.tokens[self.index][0]) in ("+", "-"):
+            self.index += 1
+            _merge(result, self.term() if kind == "+" else _negated(self.term()))
         return result
 
-    def term(self) -> Polynomial:
+    def term(self) -> Terms:
         result = self.factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
-                result = result * self.factor()
-            elif tok.kind == "/":
-                raise ParseError("division is only allowed between integer literals", tok.pos)
-            elif tok.kind in ("ident", "int", "decimal", "("):
-                raise ParseError(
-                    f"unexpected {tok.text!r}; multiplication must be written with '*'", tok.pos
-                )
+            kind, text, pos = self.tokens[self.index]
+            if kind == "*":
+                self.index += 1
+                result = _times(result, self.factor())
+            elif kind == "/":
+                raise ParseError("division is only allowed between integer literals", pos)
+            elif kind in ("ident", "int", "decimal", "("):
+                raise ParseError(f"unexpected {text!r}; multiplication must be written with '*'", pos)
             else:
                 return result
 
-    def factor(self) -> Polynomial:
-        if self.peek().kind == "-":
-            self.advance()
-            return -self.atom()
+    def factor(self) -> Terms:
+        if self.tokens[self.index][0] == "-":
+            self.index += 1
+            return _negated(self.atom())
         return self.atom()
 
-    def atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            numerator = int(tok.text)
-            if self.peek().kind == "/":
-                slash = self.advance()
-                denom_tok = self.peek()
-                if denom_tok.kind != "int":
-                    raise ParseError(
-                        "division is only allowed between integer literals", slash.pos
-                    )
-                self.advance()
-                denominator = int(denom_tok.text)
-                if denominator == 0:
-                    raise ParseError("division by zero", denom_tok.pos)
-                return Polynomial.constant(self.dimension, Fraction(numerator, denominator))
-            return Polynomial.constant(self.dimension, Fraction(numerator))
-        if tok.kind == "decimal":
-            self.advance()
-            if self.peek().kind == "/":
-                raise ParseError(
-                    "division is only allowed between integer literals", self.peek().pos
-                )
-            return Polynomial.constant(self.dimension, Fraction(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            var = self.names.get(tok.text)
+    def atom(self) -> Terms:
+        kind, text, pos = self.advance()
+        if kind == "int":
+            value: Scalar = int(text)
+            if self.tokens[self.index][0] == "/":
+                slash_pos = self.advance()[2]
+                denom_kind, denom_text, denom_pos = self.advance()
+                if denom_kind != "int":
+                    raise ParseError("division is only allowed between integer literals", slash_pos)
+                if not int(denom_text):
+                    raise ParseError("division by zero", denom_pos)
+                value = Fraction(value, int(denom_text))
+            return {self.zero: value} if value else {}
+        if kind == "decimal":
+            if self.tokens[self.index][0] == "/":
+                raise ParseError("division is only allowed between integer literals", self.tokens[self.index][2])
+            whole, digits = text.split(".")
+            value = Fraction(int(whole + digits), 10 ** len(digits))
+            return {self.zero: value} if value else {}
+        if kind == "ident":
+            var = self.names.get(text)
             if var is None:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
-            base = Polynomial.variable(self.dimension, var)
-            return self._maybe_power(base)
-        if tok.kind == "(":
-            self.advance()
+                raise ParseError(f"unknown variable {text!r}", pos)
+            unit = list(self.zero)
+            unit[var] = 1
+            return self._maybe_power({tuple(unit): 1})
+        if kind == "(":
             inner = self.expr()
-            self.expect(")")
+            close_kind, close_text, close_pos = self.tokens[self.index]
+            if close_kind != ")":
+                raise ParseError(f"expected ')', found {close_text or 'end of input'!r}", close_pos)
+            self.index += 1
             return self._maybe_power(inner)
-        raise ParseError(f"expected a number, variable, or '(', found {tok.text or 'end of input'!r}", tok.pos)
+        raise ParseError(f"expected a number, variable, or '(', found {text or 'end of input'!r}", pos)
 
-    def _maybe_power(self, base: Polynomial) -> Polynomial:
-        if self.peek().kind != "^":
+    def _maybe_power(self, base: Terms) -> Terms:
+        if self.tokens[self.index][0] != "^":
             return base
-        self.advance()
-        exp_tok = self.peek()
-        if exp_tok.kind != "int":
-            raise ParseError("exponent must be a non-negative integer", exp_tok.pos)
-        self.advance()
-        return base ** int(exp_tok.text)
+        self.index += 1
+        kind, text, pos = self.tokens[self.index]
+        if kind != "int":
+            raise ParseError("exponent must be a non-negative integer", pos)
+        self.index += 1
+        if len(base) == 1:  # one term: no product cancels
+            [(mono, coeff)] = base.items()
+            return {tuple([e * int(text) for e in mono]): coeff ** int(text)}
+        result: Terms = {self.zero: 1}
+        for _ in range(int(text)):
+            result = _times(result, base)
+        return result
 
 
 def parse_polynomial(src: str, variables: Sequence[str]) -> Polynomial:
@@ -492,9 +502,9 @@ def parse_polynomial(src: str, variables: Sequence[str]) -> Polynomial:
     variables, negative or fractional exponents, and division by anything
     other than an integer literal.
     """
-    seen = set()
-    for name in variables:
-        if name in seen:
+    names: dict[str, int] = {}
+    for i, name in enumerate(variables):
+        if names.setdefault(name, i) != i:
             raise ValueError(f"duplicate variable name {name!r}")
-        seen.add(name)
-    return _Parser(src, variables).parse()
+    terms = _Parser(src, names).parse()
+    return Polynomial._raw(len(names), {Monomial._trusted(mono): _as_fraction(c) for mono, c in terms.items()})

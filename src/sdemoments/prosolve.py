@@ -11,13 +11,15 @@ This module provides:
   * explicit verification of a user-supplied ordered partition;
   * block weights giving a weighted degree that never increases along
     generator images — a runtime termination certificate for the closure.
+    They take one pass over the model's entries, and the certificate one
+    weight per variable.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .closure import MomentSystem
@@ -218,35 +220,40 @@ def check_prosolvable(model: SdeModel) -> SolvabilityResult:
 
 
 def _decompose(
-    poly: Polynomial, partition: OrderedPartition, p: int
-) -> tuple[dict[int, Fraction], Polynomial, Monomial | None]:
-    """Split an entry owned by a block-p variable into its own-block linear
-    part {var: coeff} and its earlier-block polynomial part.  The third value
-    is the first monomial violating the decomposition (None when conforming).
-    Assumes the partition covers the polynomial's variables."""
-    n = poly.dimension
-    linear: dict[int, Fraction] = {}
-    earlier: dict[Monomial, Fraction] = {}
-    for mono, coeff in poly.sorted_terms():
+    poly: Polynomial, block_of: list[int], p: int, r: int
+) -> tuple[set[int], list[int] | None, Monomial | None]:
+    """Split an entry owned by a block-p variable into the variables of its
+    own-block linear part and the per-block maxima of its earlier-block part:
+    top[q], q < r, is the largest block-q exponent sum of its monomials (None
+    when it has none).  The third value is the greatest monomial violating
+    the decomposition (None when conforming)."""
+    linear: set[int] = set()
+    top: list[int] | None = None
+    offenders: list[Monomial] = []
+    for mono in poly.terms:
         used = [j for j, e in enumerate(mono.exponents) if e]
-        blocks_used = [partition.block_of(j) for j in used]
-        if all(b < p for b in blocks_used):
-            earlier[mono] = coeff
-            continue
-        if mono.degree == 1 and blocks_used == [p]:
-            linear[used[0]] = coeff
-            continue
-        return linear, Polynomial(n, earlier), mono
-    return linear, Polynomial(n, earlier), None
+        if all(block_of[j] < p for j in used):
+            sums = [0] * r
+            for j in used:
+                sums[block_of[j]] += mono.exponents[j]
+            top = sums if top is None else list(map(max, top, sums))
+        elif mono.degree == 1 and block_of[used[0]] == p:
+            linear.add(used[0])
+        else:
+            offenders.append(mono)
+    return linear, top, max(offenders, default=None)
 
 
-def verify_partition(model: SdeModel, partition: OrderedPartition) -> PartitionReport:
-    """Check the block-triangular affine condition entry by entry."""
+def _split_entries(model: SdeModel, partition: OrderedPartition) -> tuple[list[str], list[list[tuple]], list[int]]:
+    """The verify_partition problems, per variable the _decompose values of
+    its drift and then of each diffusion column, and each variable's block."""
     n = model.dimension
     if not partition.covers(n):
         raise ValueError("partition must cover every variable exactly once")
-    problems: list[str] = []
+    block_of = [partition.block_of(i) for i in range(n)]
     names = model.variables
+    problems: list[str] = []
+    splits: list[list[tuple]] = [[] for _ in range(n)]
     for p, block in enumerate(partition.blocks):
         for i in block:
             entries = [(f"drift[{names[i]}]", model.drift[i])] + [
@@ -254,18 +261,25 @@ def verify_partition(model: SdeModel, partition: OrderedPartition) -> PartitionR
                 for k in range(model.brownian_dim)
             ]
             for label, poly in entries:
-                _, _, offender = _decompose(poly, partition, p)
-                if offender is not None:
+                split = _decompose(poly, block_of, p, partition.block_count)
+                splits[i].append(split)
+                if split[2] is not None:
                     problems.append(
-                        f"{label}: monomial {Polynomial.monomial(offender).to_text(names)} "
+                        f"{label}: monomial {Polynomial.monomial(split[2]).to_text(names)} "
                         f"is neither linear in block {p + 1} nor confined to earlier blocks"
                     )
+    return problems, splits, block_of
+
+
+def verify_partition(model: SdeModel, partition: OrderedPartition) -> PartitionReport:
+    """Check the block-triangular affine condition entry by entry."""
+    problems = _split_entries(model, partition)[0]
     return PartitionReport(ok=not problems, problems=tuple(problems))
 
 
 def compute_block_weights(model: SdeModel, partition: OrderedPartition) -> BlockWeights:
-    """Enumerate the polynomial-coefficient primitive terms of the generator
-    and derive the inter-block degree bounds C_{p,q} and minimal weights W.
+    """Derive the inter-block degree bounds C_{p,q} and minimal weights W
+    from the polynomial-coefficient primitive terms of the generator.
 
     Writing each entry as (own-block linear part L) + (earlier-block
     polynomial part P), the generator's coefficient monomials that involve at
@@ -276,60 +290,37 @@ def compute_block_weights(model: SdeModel, partition: OrderedPartition) -> Block
     C_{p,q} is the max block-q exponent sum over source-p coefficient
     monomials; W_1 = 1 and W_p = 1 + sum_{q<p} C_{p,q} W_q (the smallest
     integers making the weighted degree strictly drop at the source block).
+
+    Each entry is decomposed once, and a P part enters only through its
+    per-block maxima (_decompose): no product is expanded, because the
+    largest block-q sum of P_ik * P_jk is the sum of its factors' (their
+    top block-q parts multiply to a nonzero part of the product).
     """
-    report = verify_partition(model, partition)
-    if not report.ok:
+    problems, splits, block_of = _split_entries(model, partition)
+    if problems:
         raise ValueError(
             "partition does not satisfy the block-triangular affine condition: "
-            + "; ".join(report.problems)
+            + "; ".join(problems)
         )
-    n = model.dimension
     r = partition.block_count
-    block_of = [partition.block_of(i) for i in range(n)]
+    c_bound = {(p, q): 0 for p in range(r) for q in range(p)}
 
-    # (source block, coefficient monomial) pairs.
-    primitive: list[tuple[int, Monomial]] = []
-
-    diff_split: dict[tuple[int, int], tuple[dict[int, Fraction], Polynomial]] = {}
-    for i in range(n):
-        p = block_of[i]
-        _, drift_poly, _ = _decompose(model.drift[i], partition, p)
-        for mono in drift_poly.terms:
-            primitive.append((p, mono))
-        for k in range(model.brownian_dim):
-            lin, poly = _decompose(model.diffusion[i][k], partition, p)[:2]
-            diff_split[(i, k)] = (lin, poly)
-
-    for k in range(model.brownian_dim):
-        for i in range(n):
-            lin_i, poly_i = diff_split[(i, k)]
-            for j in range(i, n):
-                lin_j, poly_j = diff_split[(j, k)]
-                # linear(i) x P(j) and linear(j) x P(i)
-                for lin, poly, owner in ((lin_i, poly_j, j), (lin_j, poly_i, i)):
-                    if not lin or poly.is_zero():
-                        continue
-                    for l in lin:
-                        unit = Monomial.unit(n, l)
-                        for mono in poly.terms:
-                            primitive.append((block_of[owner], mono * unit))
-                # P(i) x P(j)
-                if not poly_i.is_zero() and not poly_j.is_zero():
-                    product = poly_i * poly_j
-                    source = max(block_of[i], block_of[j])
-                    for mono in product.terms:
-                        primitive.append((source, mono))
-
-    def block_sum(mono: Monomial, q: int) -> int:
-        return sum(mono.exponents[i] for i in partition.blocks[q])
-
-    c_bound: dict[tuple[int, int], int] = {}
-    for p in range(r):
+    def raise_to(p: int, sums: list[int]) -> None:
         for q in range(p):
-            c_bound[(p, q)] = max(
-                (block_sum(mono, q) for src, mono in primitive if src == p),
-                default=0,
-            )
+            c_bound[p, q] = max(c_bound[p, q], sums[q])
+
+    for i, (drift, *_) in enumerate(splits):
+        if drift[1] is not None:
+            raise_to(block_of[i], drift[1])
+    for k in range(1, model.brownian_dim + 1):
+        for i, (lin_i, top_i, _) in enumerate(split[k] for split in splits):
+            for j, (_, top_j, _) in enumerate(split[k] for split in splits):
+                if top_j is None:
+                    continue
+                if lin_i:  # L_ik-var * P_jk, the var in block(i)
+                    raise_to(block_of[j], [s + (q == block_of[i]) for q, s in enumerate(top_j)])
+                if top_i is not None:  # P_ik * P_jk
+                    raise_to(max(block_of[i], block_of[j]), list(map(add, top_i, top_j)))
 
     weights: list[int] = []
     for p in range(r):
@@ -352,7 +343,11 @@ def certify_closure(
     closure's stored rows (each index's generator image), plus the implied
     per-block size bounds."""
     bw = compute_block_weights(model, partition)
-    degrees = [weighted_degree(bw, beta) for beta in ms.indices]
+    var_weights = [0] * model.dimension
+    for w, block in zip(bw.weights, partition.blocks):
+        for i in block:
+            var_weights[i] = w
+    degrees = [sum(map(mul, var_weights, beta.exponents)) for beta in ms.indices]
     cap = max(degrees[: ms.seed_count])
     violations: list[str] = []
     for beta, deg_beta, row in zip(ms.indices, degrees, ms.rows):
@@ -367,7 +362,8 @@ def certify_closure(
                     f"{deg_beta} -> {degrees[col]}"
                 )
     block_bounds = tuple(cap // w for w in bw.weights)
-    for beta in ms.indices:
+    # W_p s_p(beta) <= the weighted degree of beta, so only a beta above the cap can break a bound.
+    for beta in (beta for beta, deg_beta in zip(ms.indices, degrees) if deg_beta > cap):
         for p, block in enumerate(bw.partition.blocks):
             s_p = sum(beta.exponents[i] for i in block)
             if s_p > block_bounds[p]:

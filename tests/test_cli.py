@@ -1164,3 +1164,14 @@ class TestGoldenOutput:
         want_text, want_floats = masked(case["stdout"])
         assert text == want_text
         assert floats == pytest.approx(want_floats, rel=1e-12)  # BLAS builds differ in the last bit
+
+
+# `check --json` on every bundled model, captured before the block weights
+# were computed in one pass: the partition, weights and coupling bounds.
+CHECK_GOLDEN = json.loads((Path(__file__).parent / "data" / "check_golden.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", CHECK_GOLDEN, ids=[" ".join(c["argv"]) for c in CHECK_GOLDEN])
+def test_check_json_matches_golden(capsys, case):
+    path = str(BENCHMARKS / case["argv"][1].removeprefix("benchmarks/"))
+    assert run_cli(capsys, "check", path, *case["argv"][2:]) == (case["code"], case["stdout"], case["stderr"])

@@ -212,3 +212,12 @@ def test_exact_scaling_numeric_rung(monkeypatch, capsys):
     assert header == ["target", "dim", "live", "route", "seconds", "peak_rss_mb"]
     assert row[:4] == ["ou-env:3,5", "51", "44", "dense"]  # x1(0) = 0: the moments odd in x1 stay zero
     assert float(row[4]) >= 0 and float(row[5]) > 0
+
+
+def test_exact_scaling_model_rung(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "exact_scaling.py", "--model", "gene", "double-well")
+    header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert header == ["target", "load_ms", "check_ms", "weights_ms", "generator_ms"]
+    assert [row[0] for row in rows] == ["gene", "double-well"]
+    assert rows[1][3] == "-"  # double-well is not pro-solvable: it has no block weights
+    assert all(float(cell) > 0 for row in rows for cell in row[1:] if cell != "-")

@@ -1,12 +1,17 @@
 """Polynomial arithmetic against an independent dense oracle."""
 
+import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sdemoments.model as model_module
+from sdemoments.model import load_model_file
 from sdemoments.poly import Monomial, ParseError, Polynomial, parse_polynomial
 
 # ---------------------------------------------------------------------------
@@ -37,6 +42,10 @@ def from_dict(dim: int, data: dict) -> Polynomial:
 
 def to_dict(p: Polynomial) -> dict:
     return {m.exponents: c for m, c in p.terms.items()}
+
+
+def variable(dim: int, var: int) -> Polynomial:
+    return Polynomial.monomial(Monomial.unit(dim, var))
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +154,10 @@ class TestRingOps:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
+            variable(2, 0) + variable(3, 0)
 
     def test_immutable(self):
-        p = Polynomial.variable(2, 0)
+        p = variable(2, 0)
         with pytest.raises(AttributeError):
             p.dimension = 5
 
@@ -208,7 +217,7 @@ class TestRoot:
     @pytest.mark.parametrize("p", [0, -2, 1.0])
     def test_degree_must_be_a_positive_integer(self, p):
         with pytest.raises(ValueError):
-            Polynomial.variable(2, 0).root(p)
+            variable(2, 0).root(p)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +232,8 @@ class TestParse:
         return parse_polynomial(text, self.names)
 
     def test_basic_terms(self):
-        assert self.parse("x1") == Polynomial.variable(2, 0)
-        assert self.parse("-x1") == -Polynomial.variable(2, 0)
+        assert self.parse("x1") == variable(2, 0)
+        assert self.parse("-x1") == -variable(2, 0)
         assert self.parse("2*x1 + 3*x2") == from_dict(
             2, {(1, 0): Fraction(2), (0, 1): Fraction(3)}
         )
@@ -316,3 +325,281 @@ class TestParse:
         p = from_dict(2, {(2, 1): Fraction(-3, 4), (0, 0): Fraction(1)})
         text = p.to_text(self.names)
         assert self.parse(text) == p
+
+
+# ---------------------------------------------------------------------------
+# The term-dict parser against the Polynomial-building parser it replaced
+# ---------------------------------------------------------------------------
+#
+# A reference copy of that parser: one `Polynomial` per atom and per operator.
+# It builds a variable as Polynomial.monomial(Monomial.unit(...)), which is
+# equal to the removed Polynomial.variable.
+
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<number>\d+\.\d+|\d+\.?|\.\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>[-+*/^()])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str
+    text: str
+    pos: int
+
+
+def ref_tokenize(src: str) -> list[RefToken]:
+    tokens: list[RefToken] = []
+    pos = 0
+    while pos < len(src):
+        match = REFERENCE_TOKEN_RE.match(src, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
+        if match.lastgroup == "number":
+            text = match.group()
+            if text.endswith(".") or text.startswith("."):
+                raise ParseError(f"malformed number {text!r}", pos)
+            kind = "decimal" if "." in text else "int"
+            tokens.append(RefToken(kind, text, pos))
+        elif match.lastgroup == "ident":
+            tokens.append(RefToken("ident", match.group(), pos))
+        elif match.lastgroup == "op":
+            tokens.append(RefToken(match.group(), match.group(), pos))
+        pos = match.end()
+    tokens.append(RefToken("end", "", len(src)))
+    return tokens
+
+
+def ref_add(p, q):
+    """Polynomial.__add__ as that parser had it, so the term order it gives is the reference's own."""
+    out = dict(p.terms)
+    for mono, coeff in q.terms.items():
+        acc = out.get(mono)
+        total = coeff if acc is None else acc + coeff
+        if total:
+            out[mono] = total
+        elif acc is not None:
+            del out[mono]
+    return Polynomial._raw(p.dimension, out)
+
+
+class RefParser:
+    def __init__(self, src, names):
+        self.names = {name: i for i, name in enumerate(names)}
+        self.dimension = len(names)
+        self.tokens = ref_tokenize(src)
+        self.index = 0
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def advance(self):
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        return self.advance()
+
+    def parse(self):
+        result = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        return result
+
+    def expr(self):
+        result = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            rhs = self.term()
+            result = ref_add(result, rhs if op.kind == "+" else -rhs)
+        return result
+
+    def term(self):
+        result = self.factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "*":
+                self.advance()
+                result = result * self.factor()
+            elif tok.kind == "/":
+                raise ParseError("division is only allowed between integer literals", tok.pos)
+            elif tok.kind in ("ident", "int", "decimal", "("):
+                raise ParseError(
+                    f"unexpected {tok.text!r}; multiplication must be written with '*'", tok.pos
+                )
+            else:
+                return result
+
+    def factor(self):
+        if self.peek().kind == "-":
+            self.advance()
+            return -self.atom()
+        return self.atom()
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            numerator = int(tok.text)
+            if self.peek().kind == "/":
+                slash = self.advance()
+                denom_tok = self.peek()
+                if denom_tok.kind != "int":
+                    raise ParseError("division is only allowed between integer literals", slash.pos)
+                self.advance()
+                denominator = int(denom_tok.text)
+                if denominator == 0:
+                    raise ParseError("division by zero", denom_tok.pos)
+                return Polynomial.constant(self.dimension, Fraction(numerator, denominator))
+            return Polynomial.constant(self.dimension, Fraction(numerator))
+        if tok.kind == "decimal":
+            self.advance()
+            if self.peek().kind == "/":
+                raise ParseError("division is only allowed between integer literals", self.peek().pos)
+            return Polynomial.constant(self.dimension, Fraction(tok.text))
+        if tok.kind == "ident":
+            self.advance()
+            var = self.names.get(tok.text)
+            if var is None:
+                raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
+            return self._maybe_power(variable(self.dimension, var))
+        if tok.kind == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return self._maybe_power(inner)
+        raise ParseError(f"expected a number, variable, or '(', found {tok.text or 'end of input'!r}", tok.pos)
+
+    def _maybe_power(self, base):
+        if self.peek().kind != "^":
+            return base
+        self.advance()
+        exp_tok = self.peek()
+        if exp_tok.kind != "int":
+            raise ParseError("exponent must be a non-negative integer", exp_tok.pos)
+        self.advance()
+        return base ** int(exp_tok.text)
+
+
+NAMES = ("x1", "x2", "y")
+
+
+def outcome(parse, text: str):
+    """The Polynomial and its term order, or the ParseError's message and position."""
+    try:
+        poly = parse(text, NAMES)
+    except ParseError as exc:
+        return exc.message, exc.position
+    return poly, list(poly.terms)
+
+
+def both(text: str) -> tuple:
+    return outcome(lambda src, names: RefParser(src, names).parse(), text), outcome(parse_polynomial, text)
+
+
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+def spaced(token):
+    return st.tuples(SPACE, token, SPACE).map("".join)
+
+
+NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 99), st.text("0123456789", min_size=1, max_size=6)).map(lambda t: f"{t[0]}.{t[1]}"),
+    st.tuples(st.integers(0, 99), st.integers(1, 99)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+ATOMS = st.one_of(
+    NUMBERS,
+    st.tuples(st.sampled_from(NAMES), st.sampled_from(["", "^0", "^1", "^2", "^3"])).map("".join),
+)
+
+
+def _compound(inner):
+    binary = st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map("".join)
+    power = st.tuples(inner, st.sampled_from(["0", "1", "2", "3"])).map(lambda t: f"({t[0]})^{t[1]}")
+    return st.one_of(binary, inner.map(lambda e: f"({e})"), power, inner.map(lambda e: f"-({e})"))
+
+
+EXPRESSIONS = st.recursive(spaced(ATOMS), lambda inner: spaced(_compound(inner)), max_leaves=8)
+
+
+class TestReferenceParser:
+    @settings(max_examples=300, deadline=None)
+    @given(EXPRESSIONS)
+    @example("(x1 + x2)^2 - (x1 - y)*(x1 + y)")  # products that collide and cancel
+    @example("x1 - x1 + 0.5*y - 1/2*y + (x2 + 1)^3 - x2^3")
+    def test_drawn_expressions_parse_to_the_reference_polynomial(self, text):
+        want, got = both(text)
+        assert isinstance(want[0], Polynomial), want  # every drawn expression is well formed
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["x1", "x2", "y", "z", "0", "7", "12", ".", "/", "^", "*", "+", "-",
+                                     "(", ")", " ", "$", "2.5", "1."]), max_size=10).map("".join))
+    def test_drawn_token_soup_meets_the_reference_verdict(self, text):
+        want, got = both(text)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("1/0", "division by zero", 2),
+            ("x1 x2", "unexpected 'x2'; multiplication must be written with '*'", 3),
+            ("2.", "malformed number '2.'", 0),
+            ("(x1", "expected ')', found 'end of input'", 3),
+            ("x1^-1", "exponent must be a non-negative integer", 3),
+            ("1/x1", "division is only allowed between integer literals", 1),
+            ("w", "unknown variable 'w'", 0),
+            ("", "expected a number, variable, or '(', found 'end of input'", 0),
+            ("   ", "expected a number, variable, or '(', found 'end of input'", 3),
+            (".5", "malformed number '.5'", 0),
+            ("x1 $ x2", "unexpected character '$'", 3),
+            ("1/2/3", "division is only allowed between integer literals", 3),
+            ("0.5/2", "division is only allowed between integer literals", 3),
+            ("x1^y", "exponent must be a non-negative integer", 3),
+            ("x1^1.5", "exponent must be a non-negative integer", 3),
+            ("2^3", "unexpected '^'", 1),
+            ("--x1", "expected a number, variable, or '(', found '-'", 1),
+            ("+x1", "expected a number, variable, or '(', found '+'", 0),
+            ("x1 +", "expected a number, variable, or '(', found 'end of input'", 4),
+            ("(x1))", "unexpected ')'", 4),
+            ("()", "expected a number, variable, or '(', found ')'", 1),
+            ("x1^", "exponent must be a non-negative integer", 3),
+            ("3 (x1)", "unexpected '('; multiplication must be written with '*'", 2),
+            ("x1 ** 2", "expected a number, variable, or '(', found '*'", 4),
+            ("1/ ", "division is only allowed between integer literals", 1),
+            ("x1 + 1 + é", "unexpected character 'é'", 9),
+            ("2.5.1", "malformed number '.1'", 3),
+            ("1 . 5", "unexpected character '.'", 2),
+        ],
+    )
+    def test_malformed_input_keeps_its_message_and_position(self, text, message, position):
+        want, got = both(text)
+        assert want == got == (message, position)
+
+
+MODEL_FILES = sorted((Path(__file__).resolve().parents[1] / "benchmarks").glob("*.json")) + [
+    p for p in sorted((Path(__file__).parent / "data").glob("*.json")) if "drift" in json.loads(p.read_text())
+]
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=[p.name for p in MODEL_FILES])
+def test_model_files_load_as_with_the_reference_parser(path, monkeypatch):
+    got = load_model_file(path)
+    monkeypatch.setattr(model_module, "parse_polynomial", lambda src, names: RefParser(src, names).parse())
+    want = load_model_file(path)
+    assert got == want
+    entries = [*got.drift, *(p for row in got.diffusion for p in row)]
+    ref_entries = [*want.drift, *(p for row in want.diffusion for p in row)]
+    assert [list(p.terms) for p in entries] == [list(p.terms) for p in ref_entries]

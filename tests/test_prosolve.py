@@ -7,15 +7,21 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_generated_models import prosolvable_models, targets
 
 from sdemoments.cli import main
 from sdemoments.closure import MomentSystem, build_closure
 from sdemoments.generator import Generator
 from sdemoments.model import benchmark_names, load_benchmark, load_model
-from sdemoments.poly import Monomial
+from sdemoments.poly import Monomial, Polynomial
 from sdemoments.prosolve import (
+    BlockWeights,
     CertificateError,
+    CertificateReport,
     OrderedPartition,
+    PartitionReport,
     build_dependency_graph,
     certify_closure,
     check_prosolvable,
@@ -387,3 +393,167 @@ def test_certify_applies_the_generator_once_per_index(monkeypatch, capsys):
     assert code == 0
     assert "closure size: 24" in capsys.readouterr().out
     assert len(calls) == len(set(calls)) == 24
+
+
+# ---------------------------------------------------------------------------
+# Block weights and certificates against the implementation they replaced
+# ---------------------------------------------------------------------------
+#
+# A reference copy of that implementation: it decomposes every entry twice
+# (once to verify, once to weigh), lists each primitive monomial of the
+# generator and scans it once per (p, q) pair, and reads weighted degrees
+# block by block.
+
+
+def ref_decompose(poly, partition, p):
+    n = poly.dimension
+    linear = {}
+    earlier = {}
+    for mono, coeff in poly.sorted_terms():
+        used = [j for j, e in enumerate(mono.exponents) if e]
+        blocks_used = [partition.block_of(j) for j in used]
+        if all(b < p for b in blocks_used):
+            earlier[mono] = coeff
+            continue
+        if mono.degree == 1 and blocks_used == [p]:
+            linear[used[0]] = coeff
+            continue
+        return linear, Polynomial(n, earlier), mono
+    return linear, Polynomial(n, earlier), None
+
+
+def ref_verify_partition(model, partition):
+    n = model.dimension
+    if not partition.covers(n):
+        raise ValueError("partition must cover every variable exactly once")
+    problems = []
+    names = model.variables
+    for p, block in enumerate(partition.blocks):
+        for i in block:
+            entries = [(f"drift[{names[i]}]", model.drift[i])] + [
+                (f"diffusion[{names[i]}][{k}]", model.diffusion[i][k])
+                for k in range(model.brownian_dim)
+            ]
+            for label, poly in entries:
+                _, _, offender = ref_decompose(poly, partition, p)
+                if offender is not None:
+                    problems.append(
+                        f"{label}: monomial {Polynomial.monomial(offender).to_text(names)} "
+                        f"is neither linear in block {p + 1} nor confined to earlier blocks"
+                    )
+    return PartitionReport(ok=not problems, problems=tuple(problems))
+
+
+def ref_compute_block_weights(model, partition):
+    report = ref_verify_partition(model, partition)
+    if not report.ok:
+        raise ValueError(
+            "partition does not satisfy the block-triangular affine condition: "
+            + "; ".join(report.problems)
+        )
+    n = model.dimension
+    r = partition.block_count
+    block_of = [partition.block_of(i) for i in range(n)]
+    primitive = []
+    diff_split = {}
+    for i in range(n):
+        p = block_of[i]
+        _, drift_poly, _ = ref_decompose(model.drift[i], partition, p)
+        for mono in drift_poly.terms:
+            primitive.append((p, mono))
+        for k in range(model.brownian_dim):
+            lin, poly = ref_decompose(model.diffusion[i][k], partition, p)[:2]
+            diff_split[(i, k)] = (lin, poly)
+    for k in range(model.brownian_dim):
+        for i in range(n):
+            lin_i, poly_i = diff_split[(i, k)]
+            for j in range(i, n):
+                lin_j, poly_j = diff_split[(j, k)]
+                for lin, poly, owner in ((lin_i, poly_j, j), (lin_j, poly_i, i)):
+                    if not lin or poly.is_zero():
+                        continue
+                    for l in lin:
+                        unit = Monomial.unit(n, l)
+                        for mono in poly.terms:
+                            primitive.append((block_of[owner], mono * unit))
+                if not poly_i.is_zero() and not poly_j.is_zero():
+                    product = poly_i * poly_j
+                    source = max(block_of[i], block_of[j])
+                    for mono in product.terms:
+                        primitive.append((source, mono))
+
+    def block_sum(mono, q):
+        return sum(mono.exponents[i] for i in partition.blocks[q])
+
+    c_bound = {}
+    for p in range(r):
+        for q in range(p):
+            c_bound[(p, q)] = max((block_sum(mono, q) for src, mono in primitive if src == p), default=0)
+    weights = []
+    for p in range(r):
+        weights.append(1 + sum(c_bound[(p, q)] * weights[q] for q in range(p)))
+    return BlockWeights(partition=partition, c_bound=c_bound, weights=tuple(weights))
+
+
+def ref_certify_closure(model, partition, ms):
+    bw = ref_compute_block_weights(model, partition)
+    degrees = [weighted_degree(bw, beta) for beta in ms.indices]
+    cap = max(degrees[: ms.seed_count])
+    violations = []
+    for beta, deg_beta, row in zip(ms.indices, degrees, ms.rows):
+        if deg_beta > cap:
+            violations.append(f"{beta}: weighted degree {deg_beta} exceeds the target cap {cap}")
+        for col, _ in row:
+            if degrees[col] > deg_beta:
+                violations.append(
+                    f"{beta} -> {ms.indices[col]}: weighted degree increased {deg_beta} -> {degrees[col]}"
+                )
+    block_bounds = tuple(cap // w for w in bw.weights)
+    for beta in ms.indices:
+        for p, block in enumerate(bw.partition.blocks):
+            s_p = sum(beta.exponents[i] for i in block)
+            if s_p > block_bounds[p]:
+                violations.append(f"{beta}: block {p + 1} exponent sum {s_p} exceeds bound {block_bounds[p]}")
+    if violations:
+        raise CertificateError("weighted-degree certificate failed:\n  " + "\n  ".join(violations))
+    return CertificateReport(weights=bw, max_weighted_degree=max(degrees), block_bounds=block_bounds)
+
+
+def verdict(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, CertificateError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_drawn_models_weigh_and_certify_as_the_reference(data):
+    doc, blocks = data.draw(prosolvable_models())
+    model = load_model(json.dumps(doc))
+    partition = check_prosolvable(model).partition
+    # The SCC partition, the drawn blocks, and both reversed: the last two break the condition on most draws.
+    for part in (partition, OrderedPartition(tuple(map(tuple, blocks)))):
+        for order in (part, OrderedPartition(part.blocks[::-1])):
+            assert verify_partition(model, order) == ref_verify_partition(model, order)
+            assert verdict(compute_block_weights, model, order) == verdict(ref_compute_block_weights, model, order)
+    ms = build_closure(model, data.draw(targets(model.dimension, blocks[-1])))
+    assert certify_closure(model, partition, ms) == ref_certify_closure(model, partition, ms)
+    # With the indices reversed the lightest index is the target: most rows break the certificate.
+    scrambled = replace(ms, indices=ms.indices[::-1])
+    assert verdict(certify_closure, model, partition, scrambled) == verdict(
+        ref_certify_closure, model, partition, scrambled
+    )
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_bundled_models_weigh_as_the_reference(name):
+    model = load_benchmark(name)
+    result = check_prosolvable(model)
+    if result.prosolvable:
+        bw = compute_block_weights(model, result.partition)
+        assert bw == ref_compute_block_weights(model, result.partition)
+        assert list(bw.c_bound) == list(ref_compute_block_weights(model, result.partition).c_bound)
+    whole = OrderedPartition((tuple(range(model.dimension)),))
+    assert verify_partition(model, whole) == ref_verify_partition(model, whole)
